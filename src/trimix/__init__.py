@@ -18,9 +18,7 @@ from .errors import (
 from .eval import EvalReport, FeatureBank, extract_features, finetune_semi, knn_eval, linear_probe
 from .model import Arch, ForwardResult, ModelParams, forward, init_params
 from .objective import (
-    GroundTruthMatrix,
     LossBreakdown,
-    MixFactor,
     ground_truth_matrix,
     loss_bt,
     loss_con,
@@ -28,7 +26,7 @@ from .objective import (
     mixup,
     trimix_step_loss,
 )
-from .stats import CorrelationMatrix, cross_correlation, row_softmax, standardize
+from .stats import cross_correlation, row_softmax, standardize
 from .tensor import Tape, Tensor, backward
 from .train import AdamState, Checkpoint, adam_step, load_checkpoint, pretrain, save_checkpoint
 

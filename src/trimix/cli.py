@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -12,7 +13,7 @@ from .config import TriMixConfig, apply_setting, load_config
 from .errors import ContractError, NumericError, TriMixError
 from .model import init_params
 from .objective import ground_truth_matrix, loss_bt, loss_con, loss_vrt, trimix_step_loss
-from .stats import CorrelationMatrix, cross_correlation, standardize
+from .stats import cross_correlation, standardize
 from .tensor import Tape, Tensor, backward
 from .train import Checkpoint, load_checkpoint, pretrain
 
@@ -193,8 +194,7 @@ def gradcheck(cfg: TriMixConfig, batch: int = 8, side: int = 16) -> float:
       with `trimix_step_loss` itself evaluated, so the tape's backward is
       also held to the forward that training runs.
     """
-    cfg.lambda_policy = "fixed"
-    cfg.lambda_fixed = 0.3
+    cfg = dataclasses.replace(cfg, lambda_policy="fixed", lambda_fixed=0.3)
     spec = data.SyntheticSpec(n=batch, classes=2, size=side, seed=cfg.seed)
     ds = data.synthetic_blobs(spec)
     views = data.two_views(ds.images, data.AugmentPolicy(), cfg.seed, labels=ds.labels)
@@ -256,18 +256,18 @@ def oracle_equivalence_reports(cases: int = ORACLE_CASES, seed: int = 0) -> list
 
         zs = standardize(Tensor(z), "batch").data
         z2s = standardize(Tensor(z2), "batch").data
-        c_fast = cross_correlation(Tensor(zs), Tensor(z2s), "features").values.data
+        c_fast = cross_correlation(Tensor(zs), Tensor(z2s), "features").data
         c_slow = oracle.naive_correlation(zs, z2s, "features")
         diffs_c.append(float(np.abs(c_fast - c_slow).max()))
 
         zf = standardize(Tensor(z), "feature").data
         z2f = standardize(Tensor(z2), "feature").data
-        m_fast = cross_correlation(Tensor(zf), Tensor(z2f), "samples").values.data
+        m_fast = cross_correlation(Tensor(zf), Tensor(z2f), "samples").data
         m_slow = oracle.naive_correlation(zf, z2f, "samples")
         diffs_m.append(float(np.abs(m_fast - m_slow).max()))
 
         c_raw = rng.uniform(-1.0, 1.0, size=(d, d))
-        l_inv, l_rr = loss_bt(CorrelationMatrix(Tensor(c_raw), "features"))
+        l_inv, l_rr = loss_bt(Tensor(c_raw))
         n_inv, n_rr = oracle.naive_bt_terms(c_raw)
         diffs_inv.append(abs(l_inv.item() - n_inv))
         diffs_rr.append(abs(l_rr.item() - n_rr))
@@ -276,7 +276,7 @@ def oracle_equivalence_reports(cases: int = ORACLE_CASES, seed: int = 0) -> list
         m_soft = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         gt = ground_truth_matrix(b, float(rng.random()))
         fast = loss_vrt(Tensor(m_soft), gt).item()
-        slow = oracle.naive_mean_abs(m_soft, gt.values.data)
+        slow = oracle.naive_mean_abs(m_soft, gt.data)
         diffs_vrt.append(abs(fast - slow))
 
         za = rng.normal(size=(b, d))

@@ -2,6 +2,7 @@
 key=value text format used for config files and resolved snapshots."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -71,6 +72,13 @@ class TriMixConfig:
     out_dir: str = "runs/trimix"
 
     def validate(self) -> "TriMixConfig":
+        for f in fields(self):
+            if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
+                raise ContractError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.epochs < 1:
+            raise ContractError(f"epochs must be at least 1, got {self.epochs}")
+        if self.lr <= 0:
+            raise ContractError(f"lr must be positive, got {self.lr}")
         if self.beta < 0 or self.gamma < 0:
             raise ContractError("beta and gamma must be non-negative")
         if self.tau <= 0:

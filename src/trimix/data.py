@@ -89,10 +89,9 @@ class AugmentPolicy:
 class SyntheticSpec:
     """Gaussian blobs at class-dependent positions on a GxG canvas.
 
-    `background` draws a per-image constant offset in [0, background] and
-    `contrast_low` < 1 rescales each image around its mean by a factor in
-    [contrast_low, 1]: nuisances that dominate raw-pixel similarity but
-    that the augmentation family teaches an encoder to discard.
+    `background` draws a per-image constant offset in [0, background]: a
+    nuisance that dominates raw-pixel similarity but that the augmentation
+    family teaches an encoder to discard.
     """
 
     n: int = 600
@@ -101,11 +100,9 @@ class SyntheticSpec:
     seed: int = 0
     noise: float = 0.25
     background: float = 1.1
-    contrast_low: float = 1.0
     amp_low: float = 0.85
     amp_high: float = 1.0
     center_jitter: float = 0.8
-    blob_sigma: float = 0.0  # 0 -> size / 7
 
     def __post_init__(self):
         if self.n < 1 or self.classes < 1 or self.size < 4:
@@ -207,7 +204,7 @@ def load_csv(path: str) -> Dataset:
 def synthetic_blobs(spec: SyntheticSpec) -> Dataset:
     """Render class-positioned gaussian bumps with per-sample seeded noise."""
     g = spec.size
-    sigma = spec.blob_sigma if spec.blob_sigma > 0 else g / 7.0
+    sigma = g / 7.0
     # class centers stacked on the vertical midline: each class maps to
     # itself under the horizontal flips the augmentation policy applies
     rows = g * (np.arange(spec.classes) + 1.0) / (spec.classes + 1.0)
@@ -225,9 +222,6 @@ def synthetic_blobs(spec: SyntheticSpec) -> Dataset:
         d2 = (yy - center[0]) ** 2 + (xx - center[1]) ** 2
         img = offset + amp * np.exp(-d2 / (2.0 * sigma * sigma))
         img = img + rng.normal(0.0, spec.noise, size=(g, g))
-        if spec.contrast_low < 1.0:
-            c = rng.uniform(spec.contrast_low, 1.0)
-            img = img.mean() + c * (img - img.mean())
         images[i, 0] = np.clip(img, 0.0, 1.0)
     return Dataset(images=images, labels=labels, name="synthetic", k=spec.classes)
 

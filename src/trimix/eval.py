@@ -12,8 +12,8 @@ import numpy as np
 
 from .data import Dataset, batches
 from .errors import ArchMismatchError, ContractError, DegenerateFeatureError, DimensionError
-from .model import forward
-from .tensor import Tape, Tensor, add_bias, apply_op, backward, matmul
+from .model import ModelParams, forward
+from .tensor import Tape, Tensor, affine, apply_op, backward
 from .train import Checkpoint
 
 
@@ -146,12 +146,22 @@ def knn_eval(train_bank: FeatureBank, test_bank: FeatureBank, k: int, digest: st
     return EvalReport("knn", top1, len(test_bank), digest)
 
 
-def _sgd_momentum(arrays: list, grads: list, velocity: list, cfg: ProbeConfig) -> None:
-    for w, g, v in zip(arrays, grads, velocity):
-        g = g + cfg.weight_decay * w
-        v *= cfg.momentum
-        v += g
-        w -= cfg.lr * v
+def _sgd_fit(arrays: list, n: int, batch: int, key: tuple, loss_of, cfg: ProbeConfig) -> None:
+    """Minibatch SGD with momentum and coupled weight decay on `arrays`, in
+    place; `loss_of(idx, leaves)` gets one tape leaf per array, in order.
+    Epoch e shuffles the n samples with SeedSequence(cfg.seed, (*key, e))."""
+    velocity = [np.zeros_like(a) for a in arrays]
+    for epoch in range(1, cfg.epochs + 1):
+        shuffle_key = np.random.SeedSequence(cfg.seed, spawn_key=(*key, epoch))
+        for idx in batches(n, batch, shuffle_key):
+            tape = Tape()
+            leaves = [tape.leaf(Tensor(a)) for a in arrays]
+            grad_map = backward(loss_of(idx, leaves))
+            for w, leaf, v in zip(arrays, leaves, velocity):
+                g = grad_map[leaf.node].data + cfg.weight_decay * w
+                v *= cfg.momentum
+                v += g
+                w -= cfg.lr * v
 
 
 def linear_probe(
@@ -165,16 +175,12 @@ def linear_probe(
     k = int(max(train_bank.labels.max(), test_bank.labels.max())) + 1
     w = np.zeros((d, k))
     b = np.zeros(k)
-    velocity = [np.zeros_like(w), np.zeros_like(b)]
-    for epoch in range(1, probe_cfg.epochs + 1):
-        key = np.random.SeedSequence(probe_cfg.seed, spawn_key=(epoch,))
-        for idx in batches(n, min(probe_cfg.batch_size, n - n % 2), key):
-            tape = Tape()
-            wt, bt = tape.leaf(Tensor(w)), tape.leaf(Tensor(b))
-            logits = add_bias(matmul(Tensor(feats[idx]), wt), bt)
-            loss = softmax_cross_entropy(logits, train_bank.labels[idx])
-            grad_map = backward(loss)
-            _sgd_momentum([w, b], [grad_map[wt.node].data, grad_map[bt.node].data], velocity, probe_cfg)
+
+    def loss_of(idx, leaves):
+        logits = affine(Tensor(feats[idx]), *leaves)
+        return softmax_cross_entropy(logits, train_bank.labels[idx])
+
+    _sgd_fit([w, b], n, min(probe_cfg.batch_size, n - n % 2), (), loss_of, probe_cfg)
     logits = test_bank.features @ w + b
     pred = logits.argmax(axis=1)
     top1 = float((pred == test_bank.labels).mean())
@@ -225,25 +231,15 @@ def finetune_semi(
     k = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
     head_w = np.zeros((d_y, k))
     head_b = np.zeros(k)
-    encoder_arrays = [t.data for pair in params.encoder_layers for t in pair]
-    arrays = encoder_arrays + [head_w, head_b]
-    velocity = [np.zeros_like(a) for a in arrays]
-    n = len(subset)
-    for epoch in range(1, probe_cfg.epochs + 1):
-        key = np.random.SeedSequence(probe_cfg.seed, spawn_key=(0xFE, epoch))
-        for idx in batches(n, probe_cfg.batch_size, key):
-            tape = Tape()
-            attached = params.attach(tape)
-            wt, bt = tape.leaf(Tensor(head_w)), tape.leaf(Tensor(head_b))
-            x = Tensor(images[idx].reshape(len(idx), -1))
-            y = forward(x, attached).y
-            logits = add_bias(matmul(y, wt), bt)
-            loss = softmax_cross_entropy(logits, labels[idx])
-            grad_map = backward(loss)
-            enc_nodes = [t.node for pair in attached.encoder_layers for t in pair]
-            grads = [grad_map[node].data for node in enc_nodes]
-            grads += [grad_map[wt.node].data, grad_map[bt.node].data]
-            _sgd_momentum(arrays, grads, velocity, probe_cfg)
+    encoder = [t.data for pair in params.encoder_layers for t in pair]
+
+    def loss_of(idx, leaves):
+        *enc, w, b = leaves
+        attached = ModelParams(params.arch, list(zip(enc[::2], enc[1::2])), params.projector_layers)
+        y = forward(Tensor(images[idx].reshape(len(idx), -1)), attached).y
+        return softmax_cross_entropy(affine(y, w, b), labels[idx])
+
+    _sgd_fit(encoder + [head_w, head_b], len(subset), probe_cfg.batch_size, (0xFE,), loss_of, probe_cfg)
     x = Tensor(test_ds.images.reshape(len(test_ds), -1))
     y = forward(x, params).y.data
     pred = (y @ head_w + head_b).argmax(axis=1)

@@ -39,10 +39,6 @@ class Arch:
     def representation_width(self) -> int:
         return self.encoder[-1]
 
-    @property
-    def embedding_width(self) -> int:
-        return self.projector[-1]
-
     def encoder_dims(self) -> list[tuple[int, int]]:
         widths = [self.input_width, *self.encoder]
         return list(zip(widths[:-1], widths[1:]))

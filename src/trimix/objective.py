@@ -16,27 +16,8 @@ import numpy as np
 
 from .errors import BatchParityError, ContractError, DimensionError, NumericError
 from .model import ModelParams, forward
-from .stats import CorrelationMatrix, cross_correlation, row_softmax, standardize
+from .stats import cross_correlation, row_softmax, standardize
 from .tensor import Tensor, add, apply_op, scalar_mul
-
-
-@dataclass(frozen=True)
-class MixFactor:
-    """Per-step mixing coefficient, shared by every place that mixes."""
-
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ContractError(f"mix factor must lie in [0, 1], got {self.value}")
-
-
-@dataclass
-class GroundTruthMatrix:
-    """lam on the diagonal, 1-lam on the anti-diagonal, zero elsewhere."""
-
-    values: Tensor
-    lam: float
 
 
 @dataclass
@@ -50,16 +31,18 @@ class LossBreakdown:
     loss: Tensor = field(repr=False, default=None)  # on-tape scalar for backward
 
 
-def sample_mix_factor(cfg, rng) -> MixFactor:
+def sample_mix_factor(cfg, rng) -> float:
+    """Per-step mixing coefficient, shared by every place that mixes."""
     if cfg.lambda_policy == "fixed":
-        return MixFactor(cfg.lambda_fixed)
-    return MixFactor(float(rng.random()))
+        return float(cfg.lambda_fixed)
+    return float(rng.random())
 
 
-def mixup(x: Tensor, lam) -> Tensor:
-    """lam * x + (1 - lam) * flip_rows(x); even batch so no self-mixing."""
-    lam = lam.value if isinstance(lam, MixFactor) else float(lam)
-    MixFactor(lam)  # range check
+def mixup(x: Tensor, lam: float) -> Tensor:
+    """lam * x + (1 - lam) * x[::-1]; even batch so no self-mixing."""
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ContractError(f"mix factor must lie in [0, 1], got {lam}")
     if x.shape[0] % 2 != 0:
         raise BatchParityError(
             f"mixup: batch size {x.shape[0]} is odd; the flip pairing needs an even batch"
@@ -75,9 +58,11 @@ def mixup(x: Tensor, lam) -> Tensor:
     return apply_op("mixup", (x,), out, rule)
 
 
-def ground_truth_matrix(batch: int, lam) -> GroundTruthMatrix:
-    lam = lam.value if isinstance(lam, MixFactor) else float(lam)
-    MixFactor(lam)  # range check
+def ground_truth_matrix(batch: int, lam: float) -> Tensor:
+    """lam on the diagonal, 1-lam on the anti-diagonal, zero elsewhere."""
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ContractError(f"mix factor must lie in [0, 1], got {lam}")
     if batch < 2:
         raise ContractError(f"ground_truth_matrix: batch must be >= 2, got {batch}")
     if batch % 2 != 0:
@@ -86,20 +71,18 @@ def ground_truth_matrix(batch: int, lam) -> GroundTruthMatrix:
             "conflate a mixed sample with a pure one"
         )
     eye = np.eye(batch)
-    values = lam * eye + (1.0 - lam) * np.fliplr(eye)
-    return GroundTruthMatrix(values=Tensor(values), lam=lam)
+    return Tensor(lam * eye + (1.0 - lam) * np.fliplr(eye))
 
 
-def loss_bt(c: CorrelationMatrix) -> tuple[Tensor, Tensor]:
+def loss_bt(c: Tensor) -> tuple[Tensor, Tensor]:
     """Invariance and redundancy terms of the correlation-to-identity loss.
 
     Returns (sum_i (1 - C_ii)^2, sum_{i != j} C_ij^2); the caller weights
     and combines them.
     """
-    values = c.values if isinstance(c, CorrelationMatrix) else c
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise DimensionError(f"loss_bt: expected a square matrix, got shape {list(values.shape)}")
-    cd = values.data
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise DimensionError(f"loss_bt: expected a square matrix, got shape {list(c.shape)}")
+    cd = c.data
     d = cd.shape[0]
     diag = np.diagonal(cd).copy()
     resid = 1.0 - diag
@@ -109,7 +92,7 @@ def loss_bt(c: CorrelationMatrix) -> tuple[Tensor, Tensor]:
         np.fill_diagonal(dc, -2.0 * resid * float(g.reshape(-1)[0]))
         return (dc,)
 
-    l_inv = apply_op("bt_invariance", (values,), np.array([(resid * resid).sum()]), rule_inv)
+    l_inv = apply_op("bt_invariance", (c,), np.array([(resid * resid).sum()]), rule_inv)
 
     def rule_rr(g):
         dc = 2.0 * float(g.reshape(-1)[0]) * cd
@@ -117,7 +100,7 @@ def loss_bt(c: CorrelationMatrix) -> tuple[Tensor, Tensor]:
         return (dc,)
 
     l_rr = apply_op(
-        "bt_redundancy", (values,), np.array([(cd * cd).sum() - (diag * diag).sum()]), rule_rr
+        "bt_redundancy", (c,), np.array([(cd * cd).sum() - (diag * diag).sum()]), rule_rr
     )
     return l_inv, l_rr
 
@@ -141,10 +124,9 @@ def mean_abs_diff(a: Tensor, b: Tensor, kind: str = "mean_abs_diff") -> Tensor:
     return apply_op(kind, (a, b), out, rule)
 
 
-def loss_vrt(m_soft: Tensor, gt: GroundTruthMatrix) -> Tensor:
+def loss_vrt(m_soft: Tensor, gt: Tensor) -> Tensor:
     """Mean absolute difference between the softmaxed similarity matrix and GT."""
-    target = gt.values if isinstance(gt, GroundTruthMatrix) else gt
-    return mean_abs_diff(m_soft, target, kind="loss_vrt")
+    return mean_abs_diff(m_soft, gt, kind="loss_vrt")
 
 
 def loss_con(z_tilde: Tensor, z_vrt: Tensor) -> Tensor:
@@ -245,9 +227,9 @@ def trimix_step_loss(views, params: ModelParams, cfg, rng, trace: dict | None = 
             base_std=zs.data,
             con_base=c_base.data,
             virt_norm=m_virt.data,
-            m=m.values.data,
+            m=m.data,
             m_soft=m_soft.data,
-            gt=gt.values.data,
+            gt=gt.data,
         )
 
     return LossBreakdown(
@@ -256,6 +238,6 @@ def trimix_step_loss(views, params: ModelParams, cfg, rng, trace: dict | None = 
         l_bt_rr=l_rr.item(),
         l_vrt=l_vrt_t.item(),
         l_con=l_con_t.item(),
-        lam=lam.value,
+        lam=lam,
         loss=total,
     )

@@ -79,24 +79,6 @@ def naive_correlation(z: np.ndarray, z2: np.ndarray, mode: str) -> np.ndarray:
     raise ContractError(f"naive_correlation: unknown mode {mode!r}")
 
 
-def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Triple-loop matrix product."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ContractError(f"naive_matmul: bad shapes {a.shape} x {b.shape}")
-    p, q = a.shape
-    r = b.shape[1]
-    out = np.zeros((p, r))
-    for i in range(p):
-        for j in range(r):
-            acc = 0.0
-            for s in range(q):
-                acc += a[i, s] * b[s, j]
-            out[i, j] = acc
-    return out
-
-
 def naive_bt_terms(c: np.ndarray) -> tuple[float, float]:
     """Invariance and off-diagonal redundancy sums, as plain double loops."""
     c = np.asarray(c, dtype=np.float64)

@@ -7,8 +7,6 @@ exactly, which is what the oracle equivalence suite certifies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, DegenerateFeatureError, DimensionError
@@ -17,18 +15,6 @@ from .tensor import Tensor, apply_op
 STD_FLOOR = 1e-12
 
 _AXES = {"batch": 0, "feature": 1}
-
-
-@dataclass
-class CorrelationMatrix:
-    """Square correlation matrix: DxD over features or BxB over samples."""
-
-    values: Tensor
-    mode: str  # "features" | "samples"
-
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
 
 
 def standardize(z: Tensor, axis: str, allow_degenerate: bool = False) -> Tensor:
@@ -70,7 +56,7 @@ def standardize(z: Tensor, axis: str, allow_degenerate: bool = False) -> Tensor:
     return apply_op(f"standardize_{axis}", (z,), y, rule)
 
 
-def cross_correlation(z: Tensor, z2: Tensor, mode: str) -> CorrelationMatrix:
+def cross_correlation(z: Tensor, z2: Tensor, mode: str) -> Tensor:
     """Divide-by-count correlation of two BxD tensors.
 
     features: C[i,j] = sum_b z[b,i] z2[b,j] / B     (DxD)
@@ -92,28 +78,25 @@ def cross_correlation(z: Tensor, z2: Tensor, mode: str) -> CorrelationMatrix:
         def rule(g):
             return (z2d @ g.T / b, zd @ g / b)
 
-        values = apply_op("cross_correlation_features", (z, z2), out, rule)
-    elif mode == "samples":
+        return apply_op("cross_correlation_features", (z, z2), out, rule)
+    if mode == "samples":
         out = zd @ z2d.T
         out /= d
 
         def rule(g):
             return (g @ z2d / d, g.T @ zd / d)
 
-        values = apply_op("cross_correlation_samples", (z, z2), out, rule)
-    else:
-        raise ContractError(f"cross_correlation: unknown mode {mode!r}")
-    return CorrelationMatrix(values=values, mode=mode)
+        return apply_op("cross_correlation_samples", (z, z2), out, rule)
+    raise ContractError(f"cross_correlation: unknown mode {mode!r}")
 
 
-def row_softmax(m, tau: float) -> Tensor:
+def row_softmax(m: Tensor, tau: float) -> Tensor:
     """Temperature softmax over each row, computed with max-subtraction."""
     if tau <= 0:
         raise ContractError(f"row_softmax: temperature must be positive, got {tau}")
-    t = m.values if isinstance(m, CorrelationMatrix) else m
-    if t.ndim != 2:
-        raise DimensionError(f"row_softmax: expected a 2-D tensor, got shape {list(t.shape)}")
-    scaled = t.data / tau
+    if m.ndim != 2:
+        raise DimensionError(f"row_softmax: expected a 2-D tensor, got shape {list(m.shape)}")
+    scaled = m.data / tau
     scaled = scaled - scaled.max(axis=1, keepdims=True)
     e = np.exp(scaled)
     s = e / e.sum(axis=1, keepdims=True)
@@ -122,4 +105,4 @@ def row_softmax(m, tau: float) -> Tensor:
         dot = (g * s).sum(axis=1, keepdims=True)
         return ((s * (g - dot)) / tau,)
 
-    return apply_op("row_softmax", (t,), s, rule)
+    return apply_op("row_softmax", (m,), s, rule)

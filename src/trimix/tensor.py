@@ -61,60 +61,9 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         tag = f", node={self.node}" if self.node is not None else ""
         return f"Tensor(shape={list(self.shape)}{tag})"
-
-    # arithmetic sugar; scalar `*` is the only scalar-tensor broadcast
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return hadamard(self, other)
-        return scalar_mul(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def transpose(self) -> "Tensor":
-        return transpose(self)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def abs(self) -> "Tensor":
-        return tensor_abs(self)
-
-    def square(self) -> "Tensor":
-        return square(self)
-
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
-
-    def mean(self) -> "Tensor":
-        return tensor_mean(self)
-
-    def flip_rows(self) -> "Tensor":
-        return flip_rows(self)
-
-    def backward(self) -> dict:
-        return backward(self)
 
 
 class TapeNode:
@@ -173,24 +122,15 @@ def apply_op(kind: str, inputs: Sequence[Tensor], out_data: Array, rule: Backwar
     return Tensor(out_data, tape=tape, node=node)
 
 
-def _require_same_shape(kind: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{kind}: shapes {list(a.shape)} and {list(b.shape)} do not match")
-
-
 def _require_2d(kind: str, t: Tensor) -> None:
     if t.ndim != 2:
         raise DimensionError(f"{kind}: expected a 2-D tensor, got shape {list(t.shape)}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("add", a, b)
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes {list(a.shape)} and {list(b.shape)} do not match")
     return apply_op("add", (a, b), a.data + b.data, lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("sub", a, b)
-    return apply_op("sub", (a, b), a.data - b.data, lambda g: (g, -g))
 
 
 def scalar_mul(t: Tensor, s: float) -> Tensor:
@@ -198,71 +138,9 @@ def scalar_mul(t: Tensor, s: float) -> Tensor:
     return apply_op("scalar_mul", (t,), t.data * s, lambda g: (g * s,))
 
 
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("hadamard", a, b)
-    ad, bd = a.data, b.data
-    return apply_op("hadamard", (a, b), ad * bd, lambda g: (g * bd, g * ad))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require_2d("matmul", a)
-    _require_2d("matmul", b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions disagree for shapes {list(a.shape)} x {list(b.shape)}"
-        )
-    ad, bd = a.data, b.data
-    return apply_op("matmul", (a, b), ad @ bd, lambda g: (g @ bd.T, ad.T @ g))
-
-
-def transpose(t: Tensor) -> Tensor:
-    _require_2d("transpose", t)
-    return apply_op("transpose", (t,), np.ascontiguousarray(t.data.T), lambda g: (g.T,), check=False)
-
-
-def flip_rows(t: Tensor) -> Tensor:
-    """Reverse the batch (first) axis; row i of the output is row B-1-i."""
-    if t.ndim < 1 or t.shape[0] < 1:
-        raise DimensionError(f"flip_rows: needs a leading batch axis, got shape {list(t.shape)}")
-    return apply_op("flip_rows", (t,), t.data[::-1].copy(), lambda g: (g[::-1],), check=False)
-
-
 def relu(t: Tensor) -> Tensor:
     mask = t.data > 0  # subgradient 0 at exactly 0
     return apply_op("relu", (t,), np.maximum(t.data, 0.0), lambda g: (g * mask,), check=False)
-
-
-def tensor_abs(t: Tensor) -> Tensor:
-    sgn = np.sign(t.data)  # sign(0) == 0: subgradient 0 at the kink
-    return apply_op("abs", (t,), np.abs(t.data), lambda g: (g * sgn,), check=False)
-
-
-def square(t: Tensor) -> Tensor:
-    d = t.data
-    return apply_op("square", (t,), d * d, lambda g: (2.0 * d * g,))
-
-
-def tensor_sum(t: Tensor) -> Tensor:
-    shape = t.data.shape
-    out = np.array([t.data.sum()])
-    return apply_op("sum", (t,), out, lambda g: (np.full(shape, float(g.reshape(-1)[0])),))
-
-
-def tensor_mean(t: Tensor) -> Tensor:
-    shape = t.data.shape
-    size = t.data.size
-    out = np.array([t.data.mean()])
-    return apply_op("mean", (t,), out, lambda g: (np.full(shape, float(g.reshape(-1)[0]) / size),))
-
-
-def add_bias(m: Tensor, bias: Tensor) -> Tensor:
-    """Add a length-D bias vector to every row of a BxD matrix."""
-    _require_2d("add_bias", m)
-    if bias.ndim != 1 or bias.shape[0] != m.shape[1]:
-        raise DimensionError(
-            f"add_bias: bias shape {list(bias.shape)} does not fit matrix {list(m.shape)}"
-        )
-    return apply_op("add_bias", (m, bias), m.data + bias.data, lambda g: (g, g.sum(axis=0)))
 
 
 def affine(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:

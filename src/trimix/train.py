@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -134,6 +135,27 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     os.replace(tmp, path)
 
 
+def _check_meta(path: str, meta) -> None:
+    """The metadata schema, checked before any field is read."""
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise FormatError(f"{path}: metadata {what}")
+
+    require(isinstance(meta, dict), "must be a JSON object")
+    for key in ("epoch", "seed"):
+        require(type(meta.get(key)) is int, f"needs an integer {key!r}")
+    for key, names in (("arch", ("input_width", "encoder", "projector", "activation")),
+                       ("adam", ("t", "lr", "weight_decay", "beta1", "beta2", "eps"))):
+        require(isinstance(meta.get(key), dict) and set(names) <= meta[key].keys(),
+                f"needs an {key!r} object with keys {', '.join(names)}")
+    require(isinstance(meta.get("arrays"), list), "needs an 'arrays' list")
+    for i, entry in enumerate(meta["arrays"]):
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        require(isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape),
+                f"array entry {i} needs a string 'name' and a 'shape' of non-negative integers")
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as f:
         raw = f.read()
@@ -153,15 +175,16 @@ def load_checkpoint(path: str) -> Checkpoint:
         meta = json.loads(raw[12:12 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable metadata block ({exc})") from exc
+    _check_meta(path, meta)
     dtype = meta.get("dtype", "f64")
-    if dtype not in _DTYPES:
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
         raise FormatError(f"{path}: unknown array dtype {dtype!r}")
     dt = _DTYPES[dtype]
     offset = 12 + meta_len
     values = {}
     for entry in meta["arrays"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        shape = tuple(entry["shape"])
+        count = math.prod(shape)
         nbytes = count * dt.itemsize
         if len(raw) - offset < nbytes:
             raise FormatError(
@@ -174,36 +197,38 @@ def load_checkpoint(path: str) -> Checkpoint:
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes after arrays")
 
-    arch = Arch.from_dict(meta["arch"])
+    try:
+        arch = Arch.from_dict(meta["arch"])
+        a = meta["adam"]
+        adam = AdamState(
+            lr=float(a["lr"]),
+            weight_decay=float(a["weight_decay"]),
+            t=int(a["t"]),
+            beta1=float(a["beta1"]),
+            beta2=float(a["beta2"]),
+            eps=float(a["eps"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad metadata value ({exc})") from exc
     params = init_params(arch, seed=0)  # shapes only; overwritten below
-    names = params.names()
-    for name, tensor in zip(names, params.tensors()):
-        key = f"param:{name}"
-        if key not in values:
-            raise FormatError(f"{path}: missing array {key!r}")
-        if values[key].shape != tensor.data.shape:
-            raise ArchMismatchError(
-                f"{path}: array {key!r} has shape {list(values[key].shape)}, "
-                f"arch expects {list(tensor.data.shape)}"
-            )
-        tensor.data[...] = values[key]
-    a = meta["adam"]
-    adam = AdamState(
-        lr=float(a["lr"]),
-        weight_decay=float(a["weight_decay"]),
-        m=[values[f"adam_m:{n}"].copy() for n in names],
-        v=[values[f"adam_v:{n}"].copy() for n in names],
-        t=int(a["t"]),
-        beta1=float(a["beta1"]),
-        beta2=float(a["beta2"]),
-        eps=float(a["eps"]),
-    )
+    for name, tensor in zip(params.names(), params.tensors()):
+        for key in (f"param:{name}", f"adam_m:{name}", f"adam_v:{name}"):
+            if key not in values:
+                raise FormatError(f"{path}: missing array {key!r}")
+            if values[key].shape != tensor.data.shape:
+                raise ArchMismatchError(
+                    f"{path}: array {key!r} has shape {list(values[key].shape)}, "
+                    f"arch expects {list(tensor.data.shape)}"
+                )
+        tensor.data[...] = values[f"param:{name}"]
+        adam.m.append(values[f"adam_m:{name}"].copy())
+        adam.v.append(values[f"adam_v:{name}"].copy())
     return Checkpoint(
         arch=arch,
         params=params,
         adam=adam,
-        epoch=int(meta["epoch"]),
-        seed=int(meta["seed"]),
+        epoch=meta["epoch"],
+        seed=meta["seed"],
         config_text=str(meta.get("config", "")),
         dtype=dtype,
     )

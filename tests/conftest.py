@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from trimix import oracle
-from trimix.tensor import Tape, backward
+from trimix.tensor import Tape, Tensor, apply_op, backward
 
 
 def op_gradcheck(build, arrays, seed_note="", tol=1e-6):
@@ -14,8 +14,6 @@ def op_gradcheck(build, arrays, seed_note="", tol=1e-6):
     `build` receives one tape-attached Tensor per input array and must
     return a scalar (single-element) Tensor on the same tape.
     """
-    from trimix.tensor import Tensor
-
     tape = Tape()
     leaves = [tape.leaf(Tensor(a)) for a in arrays]
     out = build(leaves)
@@ -30,6 +28,18 @@ def op_gradcheck(build, arrays, seed_note="", tol=1e-6):
     err = max(oracle.max_relative_error(tg, fg) for tg, fg in zip(tape_grads, fd_grads))
     assert err < tol, f"gradient mismatch {err:.3e} (tolerance {tol:g}) {seed_note}"
     return err
+
+
+def contract(out: Tensor, seed: int = 0) -> Tensor:
+    """Scalar <out, r> for a seeded random cotangent r of out's shape.
+
+    Reduces any op to a scalar for gradient checks.  Unlike a plain sum
+    (an all-ones cotangent) it sees every direction of the op's Jacobian:
+    the sum of a standardized column, for one, is identically zero.
+    """
+    r = np.random.default_rng(seed).normal(size=out.shape)
+    return apply_op("contract", (out,), np.array([float((out.data * r).sum())]),
+                    lambda g: (float(g.reshape(-1)[0]) * r,))
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:

@@ -1,7 +1,15 @@
 """Command-line behavior: exit codes, artifacts, reproducibility."""
+import dataclasses
+import json
 import os
+import shutil
 import struct
+import subprocess
+import sys
 
+import pytest
+
+import trimix
 from trimix.cli import run
 
 FAST_OVERRIDES = [
@@ -110,6 +118,39 @@ class TestEvalCommands:
         assert code == 1
         assert "magic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", [
+        "list", "no_arrays", "negative_shape", "shape_not_ints", "arch_missing_key", "adam_not_object",
+        "no_epoch",
+    ])
+    def test_malformed_checkpoint_metadata_exits_one(self, tmp_path, capsys, case):
+        out = pretrain_once(tmp_path)
+        raw = open(f"{out}/checkpoint.tmx", "rb").read()
+        meta_len = int.from_bytes(raw[8:12], "little")
+        meta = json.loads(raw[12:12 + meta_len])
+        if case == "list":
+            meta = [meta]
+        elif case == "no_arrays":
+            del meta["arrays"]
+        elif case == "negative_shape":
+            meta["arrays"][0]["shape"] = [-1]
+        elif case == "shape_not_ints":
+            meta["arrays"][0]["shape"] = ["12", 8]
+        elif case == "arch_missing_key":
+            del meta["arch"]["encoder"]
+        elif case == "adam_not_object":
+            meta["adam"] = 3
+        elif case == "no_epoch":
+            del meta["epoch"]
+        blob = json.dumps(meta).encode("utf-8")
+        bad = str(tmp_path / "bad.tmx")
+        open(bad, "wb").write(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + meta_len:])
+        capsys.readouterr()
+        code = run(["knn", *FAST_OVERRIDES, "--checkpoint", bad, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "metadata" in err or "array entry 0" in err
+
     def test_corrupt_idx_exits_one(self, tmp_path, capsys):
         out = pretrain_once(tmp_path)
         imgs = str(tmp_path / "bad_imgs.idx")
@@ -155,6 +196,15 @@ class TestVerificationCommands:
         cfg = TriMixConfig(encoder_widths=(12, 8), projector_widths=(8, 8, 6)).validate()
         assert trimix.cli.gradcheck(cfg, batch=8, side=8) > 1e-4
 
+    def test_gradcheck_leaves_the_callers_config_unchanged(self):
+        import trimix.cli
+        from trimix.config import TriMixConfig
+
+        cfg = TriMixConfig(encoder_widths=(12, 8), projector_widths=(8, 8, 6)).validate()
+        before = dataclasses.replace(cfg)
+        trimix.cli.gradcheck(cfg, batch=8, side=8)
+        assert cfg == before
+
     def test_verify_oracle_passes(self, tmp_path, capsys):
         code = run(["verify-oracle", *FAST_OVERRIDES, "--out", str(tmp_path / "v")])
         assert code == 0
@@ -174,3 +224,20 @@ def test_numeric_failures_exit_two(tmp_path, capsys, monkeypatch):
     assert code == 2
     err = capsys.readouterr().err
     assert "l_vrt" in err and "step 0" in err
+
+def test_pretrain_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Three default-config epochs under 1 and 2 BLAS threads, same --out
+    path (the checkpoint embeds it): metrics and checkpoint bytes agree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trimix.__file__)))
+    out = str(tmp_path / "run")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "TRIMIX_SEED"}
+        env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-m", "trimix.cli", "pretrain", "--set", "epochs=3", "--out", out],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append([open(f"{out}/{name}", "rb").read() for name in ("metrics.csv", "checkpoint.tmx")])
+        shutil.rmtree(out)
+    assert outputs[0] == outputs[1]

@@ -80,3 +80,21 @@ def test_synthetic_specs_differ_between_splits():
     test = cfg.synthetic_spec("test")
     assert train.n == 600 and test.n == 300
     assert train.seed != test.seed
+
+
+@pytest.mark.parametrize("setting, match", [
+    ("tau=nan", "tau must be finite"),
+    ("lr=nan", "lr must be finite"),
+    ("alpha=inf", "alpha must be finite"),
+    ("beta=-inf", "beta must be finite"),
+    ("probe_lr=nan", "probe_lr must be finite"),
+    ("synthetic_noise=inf", "synthetic_noise must be finite"),
+    ("epochs=0", "epochs must be at least 1"),
+    ("epochs=-3", "epochs must be at least 1"),
+    ("lr=0", "lr must be positive"),
+    ("lr=-0.001", "lr must be positive"),
+])
+def test_unusable_values_rejected_up_front(setting, match):
+    cfg = parse_config(setting + "\n")
+    with pytest.raises(ContractError, match=match):
+        cfg.validate()

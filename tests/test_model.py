@@ -1,7 +1,7 @@
 """Encoder/projector stack: init statistics, forward semantics, purity."""
 import numpy as np
 import pytest
-from conftest import rng_for
+from conftest import contract, rng_for
 
 from trimix import oracle
 from trimix.errors import ContractError, DimensionError
@@ -21,7 +21,6 @@ class TestArch:
         assert arch.encoder_dims() == [(256, 128), (128, 64)]
         assert arch.projector_dims() == [(64, 64), (64, 64), (64, 32)]
         assert arch.representation_width == 64
-        assert arch.embedding_width == 32
 
     def test_bad_widths_rejected(self):
         with pytest.raises(ContractError):
@@ -91,10 +90,10 @@ class TestForward:
         x = rng_for(32).normal(size=(4, 6))
         tape = Tape()
         attached = params.attach(tape)
-        grads = backward(forward(Tensor(x), attached).z.sum())
+        grads = backward(contract(forward(Tensor(x), attached).z))
         w0 = attached.encoder_layers[0][0]
         fd = oracle.finite_diff(
-            lambda: float(forward(Tensor(x), params).z.data.sum()),
+            lambda: contract(forward(Tensor(x), params).z).item(),
             [params.encoder_layers[0][0].data],
         )
         assert oracle.max_relative_error(grads[w0.node].data, fd[0]) < 1e-5

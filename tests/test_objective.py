@@ -1,7 +1,7 @@
 """Mixing, the ground-truth matrix, the three loss terms, and the full step."""
 import numpy as np
 import pytest
-from conftest import op_gradcheck, rng_for
+from conftest import contract, op_gradcheck, rng_for
 
 from trimix import oracle
 from trimix.config import TriMixConfig
@@ -9,8 +9,6 @@ from trimix.data import ViewPair
 from trimix.errors import BatchParityError, ContractError, DimensionError, NumericError
 from trimix.model import init_params
 from trimix.objective import (
-    GroundTruthMatrix,
-    MixFactor,
     ground_truth_matrix,
     loss_bt,
     loss_con,
@@ -18,8 +16,8 @@ from trimix.objective import (
     mixup,
     trimix_step_loss,
 )
-from trimix.stats import CorrelationMatrix, cross_correlation, standardize
-from trimix.tensor import Tape, Tensor, backward, flip_rows, scalar_mul
+from trimix.stats import cross_correlation, standardize
+from trimix.tensor import Tape, Tensor, add, backward, scalar_mul
 
 
 def make_views(b=8, width=16, seed=0):
@@ -43,7 +41,7 @@ class TestMixup:
 
     def test_lambda_zero_is_bitwise_flip(self):
         x = Tensor(rng_for(1).uniform(0, 1, size=(6, 4)))
-        assert np.array_equal(mixup(x, 0.0).data, flip_rows(x).data)
+        assert np.array_equal(mixup(x, 0.0).data, x.data[::-1])
 
     def test_midpoint_two_rows(self):
         x = Tensor([[2.0], [4.0]])
@@ -63,7 +61,7 @@ class TestMixup:
             rng = rng_for(2, case)
             x = Tensor(rng.normal(size=(int(rng.integers(1, 7)) * 2, 5)))
             lam = float(rng.random())
-            a = mixup(flip_rows(x), 1.0 - lam).data
+            a = mixup(Tensor(x.data[::-1]), 1.0 - lam).data
             b = mixup(x, lam).data
             assert np.array_equal(a, b)
 
@@ -73,7 +71,7 @@ class TestMixup:
             x = rng.normal(size=(2 * int(rng.integers(1, 5)), int(rng.integers(2, 9))))
             lam = float(rng.uniform(0.05, 0.95))
             op_gradcheck(
-                lambda ts: mixup(ts[0], lam).square().sum(),
+                lambda ts: contract(mixup(ts[0], lam)),
                 [x],
                 seed_note=f"mixup case {case}",
             )
@@ -81,7 +79,7 @@ class TestMixup:
 
 class TestGroundTruthMatrix:
     def test_formula_b4(self):
-        gt = ground_truth_matrix(4, 0.7).values.data
+        gt = ground_truth_matrix(4, 0.7).data
         np.testing.assert_allclose(np.diagonal(gt), 0.7)
         np.testing.assert_allclose(np.diagonal(np.fliplr(gt)), 0.3)
         np.testing.assert_allclose(gt.sum(axis=1), 1.0)
@@ -89,18 +87,18 @@ class TestGroundTruthMatrix:
 
     def test_lambda_one_is_identity(self):
         for b in (2, 4, 8, 16):
-            assert np.array_equal(ground_truth_matrix(b, 1.0).values.data, np.eye(b))
+            assert np.array_equal(ground_truth_matrix(b, 1.0).data, np.eye(b))
 
     def test_b2_half(self):
         np.testing.assert_array_equal(
-            ground_truth_matrix(2, 0.5).values.data, [[0.5, 0.5], [0.5, 0.5]]
+            ground_truth_matrix(2, 0.5).data, [[0.5, 0.5], [0.5, 0.5]]
         )
 
     def test_rows_sum_to_one_across_sizes(self):
         for b in range(2, 65, 2):
             for case in range(100):
                 lam = float(rng_for(4, b, case).random())
-                gt = ground_truth_matrix(b, lam).values.data
+                gt = ground_truth_matrix(b, lam).data
                 assert np.abs(gt.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_odd_batch_rejected(self):
@@ -114,27 +112,27 @@ class TestGroundTruthMatrix:
 
 class TestLossTerms:
     def test_bt_on_identity_is_zero(self):
-        l_inv, l_rr = loss_bt(CorrelationMatrix(Tensor(np.eye(6)), "features"))
+        l_inv, l_rr = loss_bt(Tensor(np.eye(6)))
         assert l_inv.item() == 0.0 and l_rr.item() == 0.0
 
     def test_bt_on_all_ones(self):
-        l_inv, l_rr = loss_bt(CorrelationMatrix(Tensor(np.ones((2, 2))), "features"))
+        l_inv, l_rr = loss_bt(Tensor(np.ones((2, 2))))
         assert l_inv.item() == 0.0 and l_rr.item() == 2.0
 
     def test_bt_matches_oracle(self):
         c = rng_for(5).uniform(-1, 1, size=(16, 16))
-        l_inv, l_rr = loss_bt(CorrelationMatrix(Tensor(c), "features"))
+        l_inv, l_rr = loss_bt(Tensor(c))
         n_inv, n_rr = oracle.naive_bt_terms(c)
         assert abs(l_inv.item() - n_inv) < 1e-12
         assert abs(l_rr.item() - n_rr) < 1e-12
 
     def test_bt_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            loss_bt(CorrelationMatrix(Tensor(np.ones((3, 4))), "features"))
+            loss_bt(Tensor(np.ones((3, 4))))
 
     def test_vrt_zero_residual(self):
         gt = ground_truth_matrix(4, 0.3)
-        assert loss_vrt(Tensor(gt.values.data.copy()), gt).item() == 0.0
+        assert loss_vrt(Tensor(gt.data.copy()), gt).item() == 0.0
 
     def test_vrt_uniform_vs_identity_closed_form(self):
         b = 4
@@ -148,11 +146,11 @@ class TestLossTerms:
         logits = rng.normal(size=(8, 8))
         m = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         gt = ground_truth_matrix(8, float(rng.random()))
-        assert abs(loss_vrt(Tensor(m), gt).item() - oracle.naive_mean_abs(m, gt.values.data)) < 1e-12
+        assert abs(loss_vrt(Tensor(m), gt).item() - oracle.naive_mean_abs(m, gt.data)) < 1e-12
 
     def test_vrt_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            loss_vrt(Tensor(np.ones((4, 4))), GroundTruthMatrix(Tensor(np.ones((2, 2))), 0.5))
+            loss_vrt(Tensor(np.ones((4, 4))), Tensor(np.ones((2, 2))))
 
     def test_con_identical_and_offset(self):
         z = rng_for(7).normal(size=(6, 5))
@@ -170,7 +168,7 @@ class TestLossTerms:
             d = int(rng.integers(2, 9))
             c = rng.uniform(-1, 1, size=(d, d))
             op_gradcheck(
-                lambda ts: (loss_bt(ts[0])[0] + scalar_mul(loss_bt(ts[0])[1], 0.3)),
+                lambda ts: add(loss_bt(ts[0])[0], scalar_mul(loss_bt(ts[0])[1], 0.3)),
                 [c],
                 seed_note=f"bt terms case {case}",
             )
@@ -253,7 +251,7 @@ class TestStepLoss:
         zs = standardize(forward(x, attached_b).z, "batch")
         zs_p = standardize(forward(xp, attached_b).z, "batch")
         l_inv, l_rr = loss_bt(cross_correlation(zs, zs_p, "features"))
-        total = l_inv + scalar_mul(l_rr, cfg.alpha)
+        total = add(l_inv, scalar_mul(l_rr, cfg.alpha))
         grads_b = backward(total)
         for i, t in enumerate(attached_b.tensors()):
             assert np.abs(grads_a[i] - grads_b[t.node].data).max() <= 1e-12
@@ -317,7 +315,8 @@ class TestStepLoss:
             trimix_step_loss(make_views(seed=11), params, cfg, rng_for(21))
 
     def test_mix_factor_range(self):
-        with pytest.raises(ContractError):
-            MixFactor(-0.1)
-        with pytest.raises(ContractError):
-            MixFactor(1.1)
+        for lam in (-0.1, 1.1):
+            with pytest.raises(ContractError, match="mix factor"):
+                mixup(Tensor(np.ones((2, 2))), lam)
+            with pytest.raises(ContractError, match="mix factor"):
+                ground_truth_matrix(2, lam)

@@ -23,7 +23,6 @@ from trimix.oracle import (
     naive_bt_terms,
     naive_correlation,
     naive_knn_predict,
-    naive_matmul,
     naive_mean_abs,
     reference_adam,
 )
@@ -50,11 +49,6 @@ class TestNaiveCorrelation:
     def test_samples_mode_shape(self):
         z = np.random.default_rng(1).normal(size=(5, 7))
         assert naive_correlation(z, z, "samples").shape == (5, 5)
-
-
-def test_naive_matmul_hand_case():
-    out = naive_matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-    np.testing.assert_array_equal(out, [[3.0], [7.0]])
 
 
 def test_naive_bt_terms_trivial_cases():

@@ -1,7 +1,7 @@
 """Standardization, correlation matrices, and the row softmax."""
 import numpy as np
 import pytest
-from conftest import op_gradcheck, rng_for
+from conftest import contract, op_gradcheck, rng_for
 
 from trimix import oracle
 from trimix.errors import ContractError, DegenerateFeatureError, DimensionError
@@ -61,7 +61,7 @@ class TestStandardize:
             rng = rng_for(11, case)
             z = rng.normal(size=(int(rng.integers(3, 9)), int(rng.integers(3, 9))))
             op_gradcheck(
-                lambda ts: standardize(ts[0], axis).square().sum(),
+                lambda ts: contract(standardize(ts[0], axis)),
                 [z],
                 seed_note=f"standardize/{axis} case {case}",
             )
@@ -71,18 +71,18 @@ class TestCrossCorrelation:
     def test_self_correlation_has_unit_diagonal(self):
         z = standardize(Tensor(rng_for(20).normal(size=(10, 6))), "batch")
         c = cross_correlation(z, z, "features")
-        assert np.abs(np.diagonal(c.values.data) - 1.0).max() < 1e-12
+        assert np.abs(np.diagonal(c.data) - 1.0).max() < 1e-12
 
     def test_orthogonal_columns_give_zero_off_diagonal(self):
         z = standardize(Tensor([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]), "batch")
-        c = cross_correlation(z, z, "features").values.data
+        c = cross_correlation(z, z, "features").data
         assert abs(c[0, 1]) < 1e-12 and abs(c[1, 0]) < 1e-12
 
     def test_matches_explicit_denominator_oracle(self):
         rng = rng_for(21)
         z = standardize(Tensor(rng.normal(size=(8, 16))), "batch").data
         z2 = standardize(Tensor(rng.normal(size=(8, 16))), "batch").data
-        fast = cross_correlation(Tensor(z), Tensor(z2), "features").values.data
+        fast = cross_correlation(Tensor(z), Tensor(z2), "features").data
         slow = oracle.naive_correlation(z, z2, "features")
         assert np.abs(fast - slow).max() < 1e-10
 
@@ -90,7 +90,7 @@ class TestCrossCorrelation:
         rng = rng_for(22)
         z = standardize(Tensor(rng.normal(size=(8, 16))), "feature").data
         z2 = standardize(Tensor(rng.normal(size=(8, 16))), "feature").data
-        fast = cross_correlation(Tensor(z), Tensor(z2), "samples").values.data
+        fast = cross_correlation(Tensor(z), Tensor(z2), "samples").data
         slow = oracle.naive_correlation(z, z2, "samples")
         assert np.abs(fast - slow).max() < 1e-10
 
@@ -102,7 +102,7 @@ class TestCrossCorrelation:
             axis = "batch" if mode == "features" else "feature"
             z = standardize(Tensor(rng.normal(size=(b, d))), axis)
             z2 = standardize(Tensor(rng.normal(size=(b, d))), axis)
-            c = cross_correlation(z, z2, mode).values.data
+            c = cross_correlation(z, z2, mode).data
             assert np.abs(c).max() <= 1.0 + 1e-9
 
     def test_shape_mismatch(self):
@@ -120,7 +120,7 @@ class TestCrossCorrelation:
             b, d = int(rng.integers(2, 9)), int(rng.integers(2, 9))
             arrays = [rng.normal(size=(b, d)), rng.normal(size=(b, d))]
             op_gradcheck(
-                lambda ts: cross_correlation(ts[0], ts[1], mode).values.square().sum(),
+                lambda ts: contract(cross_correlation(ts[0], ts[1], mode)),
                 arrays,
                 seed_note=f"cross_correlation/{mode} case {case}",
             )
@@ -160,7 +160,7 @@ class TestRowSoftmax:
             rng = rng_for(26, case)
             b = int(rng.integers(2, 9))
             op_gradcheck(
-                lambda ts: row_softmax(ts[0], tau=2.0).square().sum(),
+                lambda ts: contract(row_softmax(ts[0], tau=2.0)),
                 [rng.normal(size=(b, b))],
                 seed_note=f"row_softmax case {case}",
             )
