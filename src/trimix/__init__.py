@@ -16,7 +16,7 @@ from .errors import (
     TriMixError,
 )
 from .eval import EvalReport, FeatureBank, extract_features, finetune_semi, knn_eval, linear_probe
-from .model import Arch, ForwardResult, ModelParams, forward, init_params
+from .model import Arch, ForwardResult, ModelParams, encode, forward, init_params
 from .objective import (
     LossBreakdown,
     ground_truth_matrix,

@@ -90,13 +90,16 @@ def write_snapshot(cfg: TriMixConfig, command: str) -> None:
         f.write(cfg.render())
 
 
-def append_report(cfg: TriMixConfig, report: evaluation.EvalReport) -> None:
+def publish_report(cfg: TriMixConfig, report: evaluation.EvalReport) -> int:
+    """Append the report to reports.csv and print it; returns exit code 0."""
     path = os.path.join(cfg.out_dir, "reports.csv")
     fresh = not os.path.exists(path)
     with open(path, "a") as f:
         if fresh:
             f.write("protocol,top1,n,config_digest\n")
         f.write(report.csv_row() + "\n")
+    print(report.describe())
+    return 0
 
 
 def _probe_cfg(cfg: TriMixConfig) -> evaluation.ProbeConfig:
@@ -125,53 +128,38 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _eval_common(args, command: str) -> tuple[TriMixConfig, Checkpoint, evaluation.FeatureBank, evaluation.FeatureBank, str]:
+def _load_for_eval(args, command: str) -> tuple[TriMixConfig, Checkpoint, data.Dataset, data.Dataset, str]:
+    """Resolve the config, load the checkpoint, then the datasets, and only
+    then write the snapshot, so a bad input leaves no snapshot behind."""
     cfg = resolve_config(args)
     ckpt = load_checkpoint(args.checkpoint)
     train_ds, test_ds = load_datasets(cfg)
     write_snapshot(cfg, command)
-    digest = evaluation.config_digest(cfg.render())
-    train_bank = evaluation.extract_features(ckpt, train_ds)
-    test_bank = evaluation.extract_features(ckpt, test_ds)
-    return cfg, ckpt, train_bank, test_bank, digest
+    return cfg, ckpt, train_ds, test_ds, evaluation.config_digest(cfg.render())
 
 
 def cmd_knn(args) -> int:
-    cfg, _, train_bank, test_bank, digest = _eval_common(args, "knn")
-    report = evaluation.knn_eval(train_bank, test_bank, cfg.knn_k, digest)
-    append_report(cfg, report)
-    print(report.describe())
-    return 0
+    cfg, ckpt, train_ds, test_ds, digest = _load_for_eval(args, "knn")
+    train_bank, test_bank = (evaluation.extract_features(ckpt, ds) for ds in (train_ds, test_ds))
+    return publish_report(cfg, evaluation.knn_eval(train_bank, test_bank, cfg.knn_k, digest))
 
 
 def cmd_probe(args) -> int:
-    cfg, _, train_bank, test_bank, digest = _eval_common(args, "probe")
-    report = evaluation.linear_probe(train_bank, test_bank, _probe_cfg(cfg), digest)
-    append_report(cfg, report)
-    print(report.describe())
-    return 0
+    cfg, ckpt, train_ds, test_ds, digest = _load_for_eval(args, "probe")
+    train_bank, test_bank = (evaluation.extract_features(ckpt, ds) for ds in (train_ds, test_ds))
+    return publish_report(cfg, evaluation.linear_probe(train_bank, test_bank, _probe_cfg(cfg), digest))
 
 
 def cmd_finetune(args) -> int:
-    cfg = resolve_config(args)
-    ckpt = load_checkpoint(args.checkpoint)
-    train_ds, test_ds = load_datasets(cfg)
-    write_snapshot(cfg, "finetune")
-    digest = evaluation.config_digest(cfg.render())
-    report = evaluation.finetune_semi(
+    cfg, ckpt, train_ds, test_ds, digest = _load_for_eval(args, "finetune")
+    return publish_report(cfg, evaluation.finetune_semi(
         ckpt, train_ds, test_ds, cfg.finetune_fraction, _probe_cfg(cfg), digest
-    )
-    append_report(cfg, report)
-    print(report.describe())
-    return 0
+    ))
 
 
 def cmd_export(args) -> int:
-    cfg = resolve_config(args)
-    ckpt = load_checkpoint(args.checkpoint)
-    train_ds, test_ds = load_datasets(cfg)
+    cfg, ckpt, train_ds, test_ds, _ = _load_for_eval(args, "export-embeddings")
     ds = train_ds if args.split == "train" else test_ds
-    write_snapshot(cfg, "export-embeddings")
     bank = evaluation.extract_features(ckpt, ds, l2_normalize=False)
     path = os.path.join(cfg.out_dir, f"embeddings_{args.split}.csv")
     with open(path, "w") as f:
@@ -199,7 +187,7 @@ def gradcheck(cfg: TriMixConfig, batch: int = 8, side: int = 16) -> float:
     ds = data.synthetic_blobs(spec)
     views = data.two_views(ds.images, data.AugmentPolicy(), cfg.seed, labels=ds.labels)
     params = init_params(cfg.arch_for(side * side), seed=cfg.seed)
-    rng = np.random.default_rng(0)
+    rng = data.derived_rng(0)
 
     tape = Tape()
     attached = params.attach(tape)
@@ -209,7 +197,7 @@ def gradcheck(cfg: TriMixConfig, batch: int = 8, side: int = 16) -> float:
 
     flat = [t.data for t in params.tensors()]
     tape_flat = np.concatenate([g.reshape(-1) for g in tape_grads])
-    draw = np.random.default_rng(cfg.seed)
+    draw = data.derived_rng(cfg.seed)
     along, tape_along = [], []
     for _ in range(GRADCHECK_DIRECTIONS):
         d = draw.normal(size=tape_flat.size)
@@ -248,7 +236,7 @@ def oracle_equivalence_reports(cases: int = ORACLE_CASES, seed: int = 0) -> list
 
     diffs_c, diffs_m, diffs_inv, diffs_rr, diffs_vrt, diffs_con = [], [], [], [], [], []
     for case in range(cases):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(case,)))
+        rng = data.derived_rng(seed, case)
         b = 2 * int(rng.integers(2, 9))  # even batch in [4, 16]
         d = int(rng.integers(3, 17))
         z = rng.normal(size=(b, d))

@@ -6,7 +6,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .data import SyntheticSpec
+from .data import SyntheticSpec, read_text
 from .errors import BatchParityError, ContractError, FormatError
 from .model import Arch
 
@@ -75,6 +75,8 @@ class TriMixConfig:
         for f in fields(self):
             if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
                 raise ContractError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1:
             raise ContractError(f"epochs must be at least 1, got {self.epochs}")
         if self.lr <= 0:
@@ -83,10 +85,20 @@ class TriMixConfig:
             raise ContractError("beta and gamma must be non-negative")
         if self.tau <= 0:
             raise ContractError(f"tau must be positive, got {self.tau}")
-        if self.batch_size % 2 != 0:
-            raise BatchParityError(
-                f"batch_size {self.batch_size} is odd; flip-based mixing requires an even batch"
-            )
+        for name in ("batch_size", "probe_batch"):
+            size = getattr(self, name)
+            if size % 2 != 0:
+                raise BatchParityError(f"{name} {size} is odd; batches must be even-sized")
+            if size < 2:
+                raise ContractError(f"{name} must be at least 2, got {size}")
+        if self.probe_epochs < 1:
+            raise ContractError(f"probe_epochs must be at least 1, got {self.probe_epochs}")
+        if self.probe_lr <= 0:
+            raise ContractError(f"probe_lr must be positive, got {self.probe_lr}")
+        if self.knn_k < 1:
+            raise ContractError(f"knn_k must be at least 1, got {self.knn_k}")
+        if not 0.0 < self.finetune_fraction <= 1.0:
+            raise ContractError(f"finetune_fraction must lie in (0, 1], got {self.finetune_fraction}")
         if self.placement not in PLACEMENTS:
             raise ContractError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
         if self.lambda_policy not in ("uniform", "fixed"):
@@ -181,8 +193,8 @@ def apply_setting(cfg: TriMixConfig, name: str, raw: str) -> None:
     setattr(cfg, name, _parse_value(name, raw))
 
 
-def parse_config(text: str, base: TriMixConfig | None = None) -> TriMixConfig:
-    cfg = base if base is not None else TriMixConfig()
+def parse_config(text: str) -> TriMixConfig:
+    cfg = TriMixConfig()
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -197,5 +209,4 @@ def parse_config(text: str, base: TriMixConfig | None = None) -> TriMixConfig:
 def load_config(path: str) -> TriMixConfig:
     if not os.path.exists(path):
         raise FormatError(f"config file not found: {path}")
-    with open(path) as f:
-        return parse_config(f.read())
+    return parse_config(read_text(path))

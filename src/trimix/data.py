@@ -7,6 +7,7 @@ results never depend on execution order or worker count.
 from __future__ import annotations
 
 import csv as csv_module
+import io
 import struct
 from dataclasses import dataclass
 
@@ -33,9 +34,7 @@ def derived_rng(seed: int, *key: int) -> np.random.Generator:
 @dataclass
 class Dataset:
     images: np.ndarray  # [N, C, H, W], values in [0, 1]
-    labels: np.ndarray  # [N] int class ids in [0, K)
-    name: str
-    k: int
+    labels: np.ndarray  # [N] int class ids >= 0
 
     def __post_init__(self):
         if self.images.ndim != 4:
@@ -154,15 +153,27 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
             f"(need {8 + n_labels} bytes total)"
         )
     labels = np.frombuffer(lbuf, dtype=np.uint8, count=n_labels, offset=8).astype(np.int64)
-    k = int(labels.max()) + 1 if n_labels else 0
-    return Dataset(images=images, labels=labels, name="idx", k=k)
+    return Dataset(images=images, labels=labels)
+
+
+def read_text(path: str) -> str:
+    """The file's contents decoded as UTF-8, or a FormatError at the first bad byte."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: byte 0x{raw[exc.start]:02x} at byte offset {exc.start} is not valid UTF-8"
+        ) from exc
 
 
 def load_csv(path: str) -> Dataset:
     """Rows of `label, pixel0..pixelP-1` with byte-valued pixels 0-255."""
     rows = []
-    with open(path, newline="") as f:
-        for line_no, row in enumerate(csv_module.reader(f), start=1):
+    reader = csv_module.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        for line_no, row in enumerate(reader, start=1):
             if not row:
                 continue
             try:
@@ -170,6 +181,8 @@ def load_csv(path: str) -> Dataset:
             except ValueError as exc:
                 raise FormatError(f"{path}: row {line_no}: non-integer cell ({exc})") from exc
             rows.append((line_no, values))
+    except csv_module.Error as exc:
+        raise FormatError(f"{path}: row {reader.line_num}: {exc}") from exc
     if not rows:
         raise FormatError(f"{path}: no data rows")
     width = len(rows[0][1])
@@ -181,7 +194,7 @@ def load_csv(path: str) -> Dataset:
     for i, (line_no, values) in enumerate(rows):
         if len(values) != width:
             raise FormatError(f"{path}: row {line_no}: expected {width} cells, got {len(values)}")
-        if values[0] < 0:
+        if not 0 <= values[0] < 2**63:  # an int64 class id
             raise FormatError(f"{path}: row {line_no}: label {values[0]} out of range")
         pix = values[1:]
         if min(pix) < 0 or max(pix) > 255:
@@ -198,7 +211,7 @@ def load_csv(path: str) -> Dataset:
         else:
             raise FormatError(f"{path}: {pixel_count} pixels per row is not a square image")
     images = flat.reshape(len(rows), c, h, w) / 255.0
-    return Dataset(images=images, labels=labels, name="csv", k=int(labels.max()) + 1)
+    return Dataset(images=images, labels=labels)
 
 
 def synthetic_blobs(spec: SyntheticSpec) -> Dataset:
@@ -223,7 +236,7 @@ def synthetic_blobs(spec: SyntheticSpec) -> Dataset:
         img = offset + amp * np.exp(-d2 / (2.0 * sigma * sigma))
         img = img + rng.normal(0.0, spec.noise, size=(g, g))
         images[i, 0] = np.clip(img, 0.0, 1.0)
-    return Dataset(images=images, labels=labels, name="synthetic", k=spec.classes)
+    return Dataset(images=images, labels=labels)
 
 
 def _augment_one(img: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
@@ -252,46 +265,29 @@ def _augment_one(img: np.ndarray, policy: AugmentPolicy, rng: np.random.Generato
 def two_views(
     batch_images: np.ndarray,
     policy: AugmentPolicy,
-    rng,
+    seed: int,
+    *key: int,
     labels: np.ndarray | None = None,
 ) -> ViewPair:
-    """Two independent transform draws per image.
-
-    `rng` is the master seed (int) or a SeedSequence already scoped to
-    (epoch, batch); each (index, view) gets its own child stream.
-    """
+    """Two independent transform draws per image; image i of view v draws
+    from derived_rng(seed, *key, i, v)."""
     if batch_images.shape[0] % 2 != 0:
         raise BatchParityError(f"two_views: batch size {batch_images.shape[0]} is odd")
-    if isinstance(rng, (int, np.integer)):
-        base = np.random.SeedSequence(int(rng))
-    else:
-        base = rng
     views = []
     for view in (0, 1):
         stack = np.empty_like(batch_images)
         for i in range(batch_images.shape[0]):
-            child = np.random.SeedSequence(base.entropy, spawn_key=tuple(base.spawn_key) + (i, view))
-            stack[i] = _augment_one(batch_images[i], policy, np.random.default_rng(child))
+            stack[i] = _augment_one(batch_images[i], policy, derived_rng(seed, *key, i, view))
         views.append(Tensor(stack))
     return ViewPair(x=views[0], x_prime=views[1], labels=labels)
 
 
-def batches(dataset, batch_size: int, seed, drop_last: bool = True) -> list[np.ndarray]:
-    """Seeded shuffle into even-sized index slices, final partial dropped.
-
-    `seed` is an int or a SeedSequence already scoped to the epoch.
-    """
-    n = len(dataset) if not isinstance(dataset, (int, np.integer)) else int(dataset)
+def batches(n: int, batch_size: int, seed: int, *key: int) -> list[np.ndarray]:
+    """Shuffle range(n) with derived_rng(seed, *key) into even-sized index
+    slices; the final partial batch is dropped."""
     if batch_size % 2 != 0:
         raise BatchParityError(f"batches: batch size {batch_size} is odd, need an even batch")
-    if batch_size > n:
-        raise ContractError(f"batches: batch size {batch_size} exceeds dataset size {n}")
-    if isinstance(seed, (int, np.integer)):
-        seed = np.random.SeedSequence(int(seed))
-    perm = np.random.default_rng(seed).permutation(n)
-    out = []
-    for start in range(0, n - batch_size + 1, batch_size):
-        out.append(perm[start:start + batch_size])
-    if not drop_last and n % batch_size:
-        out.append(perm[n - n % batch_size:])
-    return out
+    if not 2 <= batch_size <= n:
+        raise ContractError(f"batches: batch size {batch_size} outside [2, dataset size {n}]")
+    perm = derived_rng(seed, *key).permutation(n)
+    return [perm[start:start + batch_size] for start in range(0, n - batch_size + 1, batch_size)]

@@ -10,11 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, batches
+from .data import Dataset, batches, derived_rng
 from .errors import ArchMismatchError, ContractError, DegenerateFeatureError, DimensionError
-from .model import ModelParams, forward
+from .model import ModelParams, encode
 from .tensor import Tape, Tensor, affine, apply_op, backward
 from .train import Checkpoint
+
+FEATURE_CHUNK = 256  # rows per encoder pass when extracting features
 
 
 @dataclass
@@ -88,12 +90,7 @@ def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
     return features / norms
 
 
-def extract_features(
-    checkpoint: Checkpoint,
-    dataset: Dataset,
-    l2_normalize: bool = True,
-    chunk: int = 256,
-) -> FeatureBank:
+def extract_features(checkpoint: Checkpoint, dataset: Dataset, l2_normalize: bool = True) -> FeatureBank:
     """Frozen encoder forward over the dataset in order, no augmentation."""
     if checkpoint.arch.input_width != dataset.input_width:
         raise ArchMismatchError(
@@ -102,10 +99,10 @@ def extract_features(
         )
     n = len(dataset)
     feats = np.empty((n, checkpoint.arch.representation_width))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, FEATURE_CHUNK):
+        stop = min(start + FEATURE_CHUNK, n)
         x = Tensor(dataset.images[start:stop].reshape(stop - start, -1))
-        feats[start:stop] = forward(x, checkpoint.params).y.data
+        feats[start:stop] = encode(x, checkpoint.params).data
     if l2_normalize:
         feats = l2_normalize_rows(feats)
     return FeatureBank(features=feats, labels=dataset.labels.copy())
@@ -149,11 +146,10 @@ def knn_eval(train_bank: FeatureBank, test_bank: FeatureBank, k: int, digest: st
 def _sgd_fit(arrays: list, n: int, batch: int, key: tuple, loss_of, cfg: ProbeConfig) -> None:
     """Minibatch SGD with momentum and coupled weight decay on `arrays`, in
     place; `loss_of(idx, leaves)` gets one tape leaf per array, in order.
-    Epoch e shuffles the n samples with SeedSequence(cfg.seed, (*key, e))."""
+    Epoch e shuffles the n samples with derived_rng(cfg.seed, *key, e)."""
     velocity = [np.zeros_like(a) for a in arrays]
     for epoch in range(1, cfg.epochs + 1):
-        shuffle_key = np.random.SeedSequence(cfg.seed, spawn_key=(*key, epoch))
-        for idx in batches(n, batch, shuffle_key):
+        for idx in batches(n, batch, cfg.seed, *key, epoch):
             tape = Tape()
             leaves = [tape.leaf(Tensor(a)) for a in arrays]
             grad_map = backward(loss_of(idx, leaves))
@@ -191,7 +187,7 @@ def stratified_subset(labels: np.ndarray, fraction: float, seed: int) -> np.ndar
     """Per-class round(fraction * count) indices, seeded, sorted for determinism."""
     if not 0.0 < fraction <= 1.0:
         raise ContractError(f"fraction must lie in (0, 1], got {fraction}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xF,)))
+    rng = derived_rng(seed, 0xF)
     chosen = []
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
@@ -235,13 +231,13 @@ def finetune_semi(
 
     def loss_of(idx, leaves):
         *enc, w, b = leaves
-        attached = ModelParams(params.arch, list(zip(enc[::2], enc[1::2])), params.projector_layers)
-        y = forward(Tensor(images[idx].reshape(len(idx), -1)), attached).y
+        attached = ModelParams(params.arch, list(zip(enc[::2], enc[1::2])))
+        y = encode(Tensor(images[idx].reshape(len(idx), -1)), attached)
         return softmax_cross_entropy(affine(y, w, b), labels[idx])
 
     _sgd_fit(encoder + [head_w, head_b], len(subset), probe_cfg.batch_size, (0xFE,), loss_of, probe_cfg)
     x = Tensor(test_ds.images.reshape(len(test_ds), -1))
-    y = forward(x, params).y.data
+    y = encode(x, params).data
     pred = (y @ head_w + head_b).argmax(axis=1)
     top1 = float((pred == test_ds.labels).mean())
     return EvalReport(f"finetune@{fraction:g}", top1, len(test_ds), digest)

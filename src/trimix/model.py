@@ -135,14 +135,18 @@ def _stack(x: Tensor, layers: list, activation: str) -> Tensor:
     return h
 
 
-def forward(x: Tensor, params: ModelParams) -> ForwardResult:
-    """Run encoder then projector on a flattened Bxin batch."""
+def encode(x: Tensor, params: ModelParams) -> Tensor:
+    """Encoder stack only: the representation Y of a flattened Bxin batch."""
     if x.ndim != 2:
         raise DimensionError(f"forward: expected a flattened Bxin batch, got shape {list(x.shape)}")
     if x.shape[1] != params.arch.input_width:
         raise DimensionError(
             f"forward: input width {x.shape[1]} does not match arch input {params.arch.input_width}"
         )
-    y = _stack(x, params.encoder_layers, params.arch.activation)
-    z = _stack(y, params.projector_layers, params.arch.activation)
-    return ForwardResult(y=y, z=z)
+    return _stack(x, params.encoder_layers, params.arch.activation)
+
+
+def forward(x: Tensor, params: ModelParams) -> ForwardResult:
+    """Run encoder then projector on a flattened Bxin batch."""
+    y = encode(x, params)
+    return ForwardResult(y=y, z=_stack(y, params.projector_layers, params.arch.activation))

@@ -68,7 +68,6 @@ def adam_step(params: ModelParams, grads: list, state: AdamState) -> tuple[Model
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
     for i, (p, g) in enumerate(zip(tensors, grads)):
-        g = g.data if isinstance(g, Tensor) else np.asarray(g)
         if g.shape != p.data.shape:
             raise ContractError(
                 f"adam_step: gradient shape {list(g.shape)} does not match parameter "
@@ -173,7 +172,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise FormatError(f"{path}: truncated metadata at byte offset {len(raw)}")
     try:
         meta = json.loads(raw[12:12 + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long ints, deep nesting
         raise FormatError(f"{path}: unreadable metadata block ({exc})") from exc
     _check_meta(path, meta)
     dtype = meta.get("dtype", "f64")
@@ -208,21 +207,28 @@ def load_checkpoint(path: str) -> Checkpoint:
             beta2=float(a["beta2"]),
             eps=float(a["eps"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad metadata value ({exc})") from exc
-    params = init_params(arch, seed=0)  # shapes only; overwritten below
-    for name, tensor in zip(params.names(), params.tensors()):
-        for key in (f"param:{name}", f"adam_m:{name}", f"adam_v:{name}"):
-            if key not in values:
-                raise FormatError(f"{path}: missing array {key!r}")
-            if values[key].shape != tensor.data.shape:
-                raise ArchMismatchError(
-                    f"{path}: array {key!r} has shape {list(values[key].shape)}, "
-                    f"arch expects {list(tensor.data.shape)}"
-                )
-        tensor.data[...] = values[f"param:{name}"]
-        adam.m.append(values[f"adam_m:{name}"].copy())
-        adam.v.append(values[f"adam_v:{name}"].copy())
+    # every shape is checked against the arch before anything is built from it
+    layers = {"encoder": [], "projector": []}
+    for stack, dims in (("encoder", arch.encoder_dims()), ("projector", arch.projector_dims())):
+        for i, (din, dout) in enumerate(dims):
+            pair = []
+            for part, shape in (("weight", (din, dout)), ("bias", (dout,))):
+                name = f"{stack}.{i}.{part}"
+                for key in (f"param:{name}", f"adam_m:{name}", f"adam_v:{name}"):
+                    if key not in values:
+                        raise FormatError(f"{path}: missing array {key!r}")
+                    if values[key].shape != shape:
+                        raise ArchMismatchError(
+                            f"{path}: array {key!r} has shape {list(values[key].shape)}, "
+                            f"arch expects {list(shape)}"
+                        )
+                pair.append(Tensor(values[f"param:{name}"]))
+                adam.m.append(values[f"adam_m:{name}"])
+                adam.v.append(values[f"adam_v:{name}"])
+            layers[stack].append(tuple(pair))
+    params = ModelParams(arch, layers["encoder"], layers["projector"])
     return Checkpoint(
         arch=arch,
         params=params,
@@ -295,11 +301,10 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
         os.makedirs(out_dir, exist_ok=True)
 
     for epoch in range(start_epoch, cfg.epochs + 1):
-        shuffle_key = np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_SHUFFLE, epoch))
-        for b_idx, indices in enumerate(batches(dataset, cfg.batch_size, shuffle_key)):
+        for b_idx, indices in enumerate(batches(len(dataset), cfg.batch_size, cfg.seed, STREAM_SHUFFLE, epoch)):
             step = (epoch - 1) * steps_per_epoch + b_idx
-            aug_key = np.random.SeedSequence(cfg.seed, spawn_key=(STREAM_AUGMENT, epoch, b_idx))
-            views = two_views(dataset.images[indices], policy, aug_key, labels=dataset.labels[indices])
+            views = two_views(dataset.images[indices], policy, cfg.seed, STREAM_AUGMENT, epoch, b_idx,
+                              labels=dataset.labels[indices])
             tape = Tape()
             attached = params.attach(tape)
             lam_rng = derived_rng(cfg.seed, STREAM_LAMBDA, epoch, b_idx)
@@ -308,7 +313,7 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
                 grad_map = backward(bd.loss)
             except NumericError as exc:
                 raise NumericError(f"step {step} (epoch {epoch}): {exc}") from exc
-            grads = [grad_map[t.node] for t in attached.tensors()]
+            grads = [grad_map[t.node].data for t in attached.tensors()]
             adam_step(params, grads, adam)
             rows.append(metrics_row(step, epoch, bd))
         ckpt.epoch = epoch

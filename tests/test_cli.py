@@ -120,7 +120,7 @@ class TestEvalCommands:
 
     @pytest.mark.parametrize("case", [
         "list", "no_arrays", "negative_shape", "shape_not_ints", "arch_missing_key", "adam_not_object",
-        "no_epoch",
+        "no_epoch", "huge_input_width",
     ])
     def test_malformed_checkpoint_metadata_exits_one(self, tmp_path, capsys, case):
         out = pretrain_once(tmp_path)
@@ -141,6 +141,8 @@ class TestEvalCommands:
             meta["adam"] = 3
         elif case == "no_epoch":
             del meta["epoch"]
+        elif case == "huge_input_width":
+            meta["arch"]["input_width"] = 2**50
         blob = json.dumps(meta).encode("utf-8")
         bad = str(tmp_path / "bad.tmx")
         open(bad, "wb").write(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + meta_len:])
@@ -149,7 +151,23 @@ class TestEvalCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "metadata" in err or "array entry 0" in err
+        if case == "huge_input_width":
+            assert "arch expects" in err
+        else:
+            assert "metadata" in err or "array entry 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["pretrain", "--set", "batch_size=0"],
+        ["probe", "--set", "probe_batch=0", "--checkpoint", "unread.tmx"],
+    ])
+    def test_unusable_batch_exits_one_before_any_work(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        code = run([*argv, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "must be at least 2" in err
+        assert not out.exists()
 
     def test_corrupt_idx_exits_one(self, tmp_path, capsys):
         out = pretrain_once(tmp_path)

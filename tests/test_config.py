@@ -93,8 +93,27 @@ def test_synthetic_specs_differ_between_splits():
     ("epochs=-3", "epochs must be at least 1"),
     ("lr=0", "lr must be positive"),
     ("lr=-0.001", "lr must be positive"),
+    ("seed=-1", "seed must be non-negative"),
+    ("batch_size=0", "batch_size must be at least 2"),
+    ("batch_size=-2", "batch_size must be at least 2"),
+    ("probe_batch=0", "probe_batch must be at least 2"),
+    ("probe_batch=-2", "probe_batch must be at least 2"),
+    ("probe_batch=7", "probe_batch 7 is odd"),
+    ("probe_epochs=0", "probe_epochs must be at least 1"),
+    ("probe_lr=-1", "probe_lr must be positive"),
+    ("probe_lr=0", "probe_lr must be positive"),
+    ("knn_k=0", "knn_k must be at least 1"),
+    ("finetune_fraction=0", r"finetune_fraction must lie in \(0, 1\]"),
+    ("finetune_fraction=1.5", r"finetune_fraction must lie in \(0, 1\]"),
 ])
 def test_unusable_values_rejected_up_front(setting, match):
     cfg = parse_config(setting + "\n")
     with pytest.raises(ContractError, match=match):
         cfg.validate()
+
+
+def test_non_utf8_config_names_file_and_offset(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed=5\nepochs=\xff\n")
+    with pytest.raises(FormatError, match=r"bad\.cfg: byte 0xff at byte offset 14"):
+        load_config(str(path))

@@ -43,7 +43,6 @@ class TestIdx:
         np.testing.assert_allclose(ds.images[0, 0], pix[0] / 255.0)
         np.testing.assert_allclose(ds.images[1, 0], pix[1] / 255.0)
         assert list(ds.labels) == [3, 1]
-        assert ds.k == 4
 
     def test_label_magic_as_images_rejected(self, tmp_path):
         img_path, lbl_path = write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
@@ -74,7 +73,7 @@ class TestCsv:
         ds = load_csv(str(path))
         assert ds.images.shape == (2, 1, 2, 2)
         np.testing.assert_allclose(ds.images[0, 0], [[0, 64], [128, 255]] / np.float64(255))
-        assert list(ds.labels) == [1, 0] and ds.k == 2
+        assert list(ds.labels) == [1, 0]
 
     def test_pixel_out_of_range_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -88,10 +87,22 @@ class TestCsv:
         with pytest.raises(FormatError, match="label"):
             load_csv(str(path))
 
+    def test_label_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{2**63},0,0,0,0\n")
+        with pytest.raises(FormatError, match="label"):
+            load_csv(str(path))
+
     def test_non_square_pixel_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1,2,3,4,5\n")
         with pytest.raises(FormatError, match="square"):
+            load_csv(str(path))
+
+    def test_non_utf8_byte_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"0,1,2,3,4\n1,5,\xff,7,8\n")
+        with pytest.raises(FormatError, match=r"bad\.csv: byte 0xff at byte offset 14"):
             load_csv(str(path))
 
 
@@ -212,6 +223,7 @@ class TestBatches:
         with pytest.raises(ContractError):
             batches(4, 6, 0)
 
-    def test_keep_last_partial(self):
-        out = batches(10, 4, 0, drop_last=False)
-        assert [len(b) for b in out] == [4, 4, 2]
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_batch_below_two_rejected(self, size):
+        with pytest.raises(ContractError, match="outside"):
+            batches(10, size, 0)

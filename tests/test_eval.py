@@ -76,6 +76,14 @@ class TestExtractFeatures:
         bank = extract_features(ckpt, ds)
         np.testing.assert_allclose(np.linalg.norm(bank.features, axis=1), 1.0, atol=1e-12)
 
+    def test_projector_is_never_run(self):
+        ckpt = make_checkpoint(seed=3)
+        ds = synthetic_blobs(SyntheticSpec(n=10, classes=2, size=8, seed=3))
+        clean = extract_features(ckpt, ds)
+        for w, b in ckpt.params.projector_layers:
+            w.data[...] = np.nan
+        assert np.array_equal(extract_features(ckpt, ds).features, clean.features)
+
     def test_arch_mismatch(self):
         ckpt = make_checkpoint(input_width=64)
         ds = synthetic_blobs(SyntheticSpec(n=10, classes=2, size=10, seed=4))
@@ -223,6 +231,17 @@ class TestFinetune:
                                ProbeConfig(epochs=30, batch_size=24, lr=5e-3, seed=2))
         assert report.top1 > 0.9
         assert report.protocol == "finetune@1"
+
+    def test_projector_is_never_run(self):
+        spec = dict(classes=2, size=8, noise=0.05, center_jitter=0.4, background=0.0)
+        train = synthetic_blobs(SyntheticSpec(n=40, seed=11, **spec))
+        test = synthetic_blobs(SyntheticSpec(n=20, seed=12, **spec))
+        cfg = ProbeConfig(epochs=3, batch_size=8, lr=5e-3, seed=4)
+        clean = finetune_semi(make_checkpoint(seed=9), train, test, 1.0, cfg)
+        poisoned = make_checkpoint(seed=9)
+        for w, b in poisoned.params.projector_layers:
+            w.data[...] = np.nan
+        assert finetune_semi(poisoned, train, test, 1.0, cfg) == clean
 
     def test_larger_fraction_no_worse_in_reference_setup(self):
         spec = dict(classes=4, size=8, noise=0.05, center_jitter=0.4, background=0.0)

@@ -5,7 +5,7 @@ from conftest import contract, rng_for
 
 from trimix import oracle
 from trimix.errors import ContractError, DimensionError
-from trimix.model import Arch, ModelParams, forward, init_params
+from trimix.model import Arch, ModelParams, encode, forward, init_params
 from trimix.tensor import Tape, Tensor, backward
 
 
@@ -124,6 +124,16 @@ class TestForward:
         params = init_params(Arch(input_width=5, encoder=(4,), projector=(3,)), seed=1)
         with pytest.raises(DimensionError, match="width"):
             forward(Tensor(np.ones((2, 7))), params)
+
+    def test_encode_is_forward_y_without_the_projector(self):
+        arch = Arch(input_width=5, encoder=(4, 3), projector=(3, 2))
+        params = init_params(arch, seed=10)
+        x = Tensor(rng_for(35).normal(size=(6, 5)))
+        tape = Tape()
+        encoder_only = ModelParams(arch, params.attach(tape).encoder_layers)
+        y = encode(x, encoder_only)
+        np.testing.assert_array_equal(y.data, forward(x, params).y.data)
+        assert [n.kind for n in tape.nodes if n.kind != "leaf"] == ["affine", "relu", "affine"]
 
     def test_attach_shares_storage(self):
         params = init_params(Arch(input_width=3, encoder=(2,), projector=(2,)), seed=2)
