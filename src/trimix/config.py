@@ -6,7 +6,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .data import SyntheticSpec, read_text
+from .data import AugmentPolicy, SyntheticSpec, read_text
 from .errors import BatchParityError, ContractError, FormatError
 from .model import Arch
 
@@ -109,6 +109,14 @@ class TriMixConfig:
             raise ContractError(f"dataset must be synthetic, idx, or csv, got {self.dataset!r}")
         if self.checkpoint_dtype not in ("f32", "f64"):
             raise ContractError(f"checkpoint_dtype must be f32 or f64, got {self.checkpoint_dtype!r}")
+        if self.save_every < 0:
+            raise ContractError(f"save_every must be >= 0 (0 = no snapshots), got {self.save_every}")
+        # the objects a run builds from these settings check their own rules
+        self.augment_policy()
+        self.arch_for(1)
+        if self.dataset == "synthetic":
+            self.synthetic_spec("train")
+            self.synthetic_spec("test")
         return self
 
     def arch_for(self, input_width: int) -> Arch:
@@ -117,6 +125,15 @@ class TriMixConfig:
             encoder=tuple(self.encoder_widths),
             projector=tuple(self.projector_widths),
             activation=self.activation,
+        )
+
+    def augment_policy(self) -> AugmentPolicy:
+        return AugmentPolicy(
+            pad=self.aug_pad,
+            hflip_p=self.aug_hflip,
+            brightness=self.aug_brightness,
+            contrast=self.aug_contrast,
+            grayscale_p=self.aug_grayscale,
         )
 
     def synthetic_spec(self, split: str) -> SyntheticSpec:

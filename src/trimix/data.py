@@ -12,6 +12,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BatchParityError, ContractError, FormatError
 from .tensor import Tensor
@@ -239,27 +240,19 @@ def synthetic_blobs(spec: SyntheticSpec) -> Dataset:
     return Dataset(images=images, labels=labels)
 
 
-def _augment_one(img: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
-    """One transform draw applied to one CxHxW image; output stays in [0, 1]."""
-    c, h, w = img.shape
-    out = img
+def _draws(policy: AugmentPolicy, rng: np.random.Generator | None) -> tuple:
+    """One image's transform parameters (oy, ox, flip, brightness factor,
+    contrast factor, grayscale), drawn in pipeline order; a transform the
+    policy turns off draws nothing."""
+    oy = ox = 0
     if policy.pad > 0:
-        p = policy.pad
-        padded = np.pad(out, ((0, 0), (p, p), (p, p)), mode="reflect")
-        oy = int(rng.integers(0, 2 * p + 1))
-        ox = int(rng.integers(0, 2 * p + 1))
-        out = padded[:, oy:oy + h, ox:ox + w]
-    if policy.hflip_p > 0 and rng.random() < policy.hflip_p:
-        out = out[:, :, ::-1]
-    if policy.brightness > 0:
-        out = out * (1.0 + rng.uniform(-policy.brightness, policy.brightness))
-    if policy.contrast > 0:
-        f = 1.0 + rng.uniform(-policy.contrast, policy.contrast)
-        m = out.mean()
-        out = (out - m) * f + m
-    if policy.grayscale_p > 0 and rng.random() < policy.grayscale_p:
-        out = np.repeat(out.mean(axis=0, keepdims=True), c, axis=0)
-    return np.clip(out, 0.0, 1.0)
+        oy = int(rng.integers(0, 2 * policy.pad + 1))
+        ox = int(rng.integers(0, 2 * policy.pad + 1))
+    flip = policy.hflip_p > 0 and rng.random() < policy.hflip_p
+    bright = 1.0 + rng.uniform(-policy.brightness, policy.brightness) if policy.brightness > 0 else 1.0
+    con = 1.0 + rng.uniform(-policy.contrast, policy.contrast) if policy.contrast > 0 else 1.0
+    gray = policy.grayscale_p > 0 and rng.random() < policy.grayscale_p
+    return oy, ox, flip, bright, con, gray
 
 
 def two_views(
@@ -270,16 +263,51 @@ def two_views(
     labels: np.ndarray | None = None,
 ) -> ViewPair:
     """Two independent transform draws per image; image i of view v draws
-    from derived_rng(seed, *key, i, v)."""
-    if batch_images.shape[0] % 2 != 0:
-        raise BatchParityError(f"two_views: batch size {batch_images.shape[0]} is odd")
-    views = []
-    for view in (0, 1):
-        stack = np.empty_like(batch_images)
-        for i in range(batch_images.shape[0]):
-            stack[i] = _augment_one(batch_images[i], policy, derived_rng(seed, *key, i, view))
-        views.append(Tensor(stack))
-    return ViewPair(x=views[0], x_prime=views[1], labels=labels)
+    from derived_rng(seed, *key, i, v).
+
+    Each image is reflect-padded and cropped, flipped, scaled in
+    brightness and contrast, made grayscale and clipped to [0, 1], as
+    `oracle.naive_two_views` spells out image by image.  Here both views
+    are one stack, whose row v*n + i is image i of view v, and each
+    transform is one operation on the whole stack.  The batch is never
+    written.
+    """
+    n, c, h, w = batch_images.shape
+    if n % 2 != 0:
+        raise BatchParityError(f"two_views: batch size {n} is odd")
+    if max(policy.pad, policy.hflip_p, policy.brightness, policy.contrast, policy.grayscale_p) > 0:
+        draws = [_draws(policy, derived_rng(seed, *key, i, v)) for v in (0, 1) for i in range(n)]
+    else:  # every transform is off: nothing to draw, so no generator to build
+        draws = [_draws(policy, None)] * (2 * n)
+    table = np.array(draws, dtype=np.float64).reshape(2 * n, 6)
+    oy, ox = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
+    flip, bright, con, gray = table[:, 2] > 0, table[:, 3], table[:, 4], table[:, 5] > 0
+    src = np.tile(np.arange(n), 2)
+    p = policy.pad
+    padded = np.pad(batch_images, ((0, 0), (0, 0), (p, p), (p, p)), mode="reflect") if p else batch_images
+    # crop and flip in one gather, which copies: a flipped crop at column
+    # ox is the crop at column 2p - ox of the mirrored stack
+    crops = sliding_window_view(np.concatenate([padded, padded[..., ::-1]]), (h, w), axis=(2, 3))
+    out = crops[src + n * flip, :, oy, np.where(flip, 2 * p - ox, ox)]
+    if policy.brightness > 0:
+        out *= bright[:, None, None, None]
+    if policy.contrast > 0:
+        if policy.brightness > 0:
+            m = out.reshape(2 * n, c * h * w).mean(axis=1)
+        else:
+            # the definition averages the crop view itself here, and numpy
+            # sums a strided view larger than its buffer (8192 values) in
+            # chunks, unlike a contiguous copy: average that same view
+            m = np.array([padded[s, :, y:y + h, x:x + w][..., ::-1 if f else 1].mean()
+                          for s, y, x, f in zip(src, oy, ox, flip)])
+        m = m[:, None, None, None]
+        out -= m
+        out *= con[:, None, None, None]
+        out += m
+    if gray.any():
+        out[gray] = out[gray].mean(axis=1, keepdims=True)
+    np.clip(out, 0.0, 1.0, out=out)
+    return ViewPair(x=Tensor(out[:n]), x_prime=Tensor(out[n:]), labels=labels)
 
 
 def batches(n: int, batch_size: int, seed: int, *key: int) -> list[np.ndarray]:

@@ -215,11 +215,9 @@ def finetune_semi(
             f"dataset provides {train_ds.input_width}"
         )
     subset = stratified_subset(train_ds.labels, fraction, probe_cfg.seed)
-    if len(subset) < probe_cfg.batch_size:
-        raise ContractError(
-            f"fraction {fraction} keeps {len(subset)} samples, fewer than one "
-            f"batch of {probe_cfg.batch_size}"
-        )
+    n = len(subset)
+    if n < 2:
+        raise ContractError(f"fraction {fraction} keeps {n} samples, fewer than one batch of 2")
     images = train_ds.images[subset]
     labels = train_ds.labels[subset]
     params = checkpoint.params.copy()
@@ -235,7 +233,7 @@ def finetune_semi(
         y = encode(Tensor(images[idx].reshape(len(idx), -1)), attached)
         return softmax_cross_entropy(affine(y, w, b), labels[idx])
 
-    _sgd_fit(encoder + [head_w, head_b], len(subset), probe_cfg.batch_size, (0xFE,), loss_of, probe_cfg)
+    _sgd_fit(encoder + [head_w, head_b], n, min(probe_cfg.batch_size, n - n % 2), (0xFE,), loss_of, probe_cfg)
     x = Tensor(test_ds.images.reshape(len(test_ds), -1))
     y = encode(x, params).data
     pred = (y @ head_w + head_b).argmax(axis=1)

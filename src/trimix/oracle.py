@@ -349,6 +349,39 @@ def objective_finite_diff(x, x_prime, encoder: list, projector: list, cfg, lam: 
     return value, grads
 
 
+def naive_two_views(batch_images: np.ndarray, policy, seed: int, *key: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both augmented views of a batch, one image at a time: image i of
+    view v draws from its own generator, seeded by
+    SeedSequence(seed, spawn_key=(*key, i, v)), in pipeline order, and a
+    transform the policy turns off draws nothing."""
+    views = []
+    for v in (0, 1):
+        stack = np.empty_like(batch_images)
+        for i in range(batch_images.shape[0]):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, i, v)))
+            out = batch_images[i]
+            c, h, w = out.shape
+            if policy.pad > 0:
+                p = policy.pad
+                padded = np.pad(out, ((0, 0), (p, p), (p, p)), mode="reflect")
+                oy = int(rng.integers(0, 2 * p + 1))
+                ox = int(rng.integers(0, 2 * p + 1))
+                out = padded[:, oy:oy + h, ox:ox + w]
+            if policy.hflip_p > 0 and rng.random() < policy.hflip_p:
+                out = out[:, :, ::-1]
+            if policy.brightness > 0:
+                out = out * (1.0 + rng.uniform(-policy.brightness, policy.brightness))
+            if policy.contrast > 0:
+                f = 1.0 + rng.uniform(-policy.contrast, policy.contrast)
+                m = out.mean()
+                out = (out - m) * f + m
+            if policy.grayscale_p > 0 and rng.random() < policy.grayscale_p:
+                out = np.repeat(out.mean(axis=0, keepdims=True), c, axis=0)
+            stack[i] = np.clip(out, 0.0, 1.0)
+        views.append(stack)
+    return views[0], views[1]
+
+
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     """Coordinate-wise |a-b| / max(1, |a|, |b|), reduced with max.
 

@@ -18,7 +18,6 @@ from .data import (
     STREAM_AUGMENT,
     STREAM_LAMBDA,
     STREAM_SHUFFLE,
-    AugmentPolicy,
     Dataset,
     batches,
     derived_rng,
@@ -270,13 +269,7 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
     With `out_dir`, writes `metrics.csv` and `checkpoint.tmx` (plus
     periodic snapshots every `cfg.save_every` epochs).
     """
-    policy = AugmentPolicy(
-        pad=cfg.aug_pad,
-        hflip_p=cfg.aug_hflip,
-        brightness=cfg.aug_brightness,
-        contrast=cfg.aug_contrast,
-        grayscale_p=cfg.aug_grayscale,
-    )
+    policy = cfg.augment_policy()
     arch = cfg.arch_for(dataset.input_width)
     if resume is not None:
         if resume.arch != arch:

@@ -169,6 +169,17 @@ class TestEvalCommands:
         assert "must be at least 2" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", [
+        "aug_hflip=2", "aug_pad=-1", "encoder_widths=", "activation=tanh", "save_every=-1",
+    ])
+    def test_unusable_run_setting_exits_one_before_the_snapshot(self, tmp_path, capsys, setting):
+        out = tmp_path / "x"
+        code = run(["pretrain", "--set", setting, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_corrupt_idx_exits_one(self, tmp_path, capsys):
         out = pretrain_once(tmp_path)
         imgs = str(tmp_path / "bad_imgs.idx")

@@ -105,11 +105,31 @@ def test_synthetic_specs_differ_between_splits():
     ("knn_k=0", "knn_k must be at least 1"),
     ("finetune_fraction=0", r"finetune_fraction must lie in \(0, 1\]"),
     ("finetune_fraction=1.5", r"finetune_fraction must lie in \(0, 1\]"),
+    ("save_every=-1", r"save_every must be >= 0 \(0 = no snapshots\)"),
+    ("aug_hflip=2", "hflip_p must be in"),
+    ("aug_grayscale=-0.5", "grayscale_p must be in"),
+    ("aug_pad=-1", "pad must be >= 0"),
+    ("encoder_widths=", "at least one layer"),
+    ("projector_widths=8,0", "widths must be >= 1"),
+    ("activation=tanh", "activation must be one of"),
+    ("synthetic_size=3", "synthetic spec"),
+    ("synthetic_test=0", "synthetic spec"),
 ])
 def test_unusable_values_rejected_up_front(setting, match):
     cfg = parse_config(setting + "\n")
     with pytest.raises(ContractError, match=match):
         cfg.validate()
+
+
+def test_synthetic_settings_unchecked_for_file_datasets():
+    parse_config("dataset=idx\nsynthetic_size=3\n").validate()
+
+
+def test_augment_policy_carries_the_aug_settings():
+    cfg = parse_config("aug_pad=3\naug_hflip=0.25\naug_brightness=0.1\naug_contrast=0.2\naug_grayscale=1\n")
+    policy = cfg.augment_policy()
+    assert (policy.pad, policy.hflip_p, policy.brightness, policy.contrast, policy.grayscale_p) == (
+        3, 0.25, 0.1, 0.2, 1.0)
 
 
 def test_non_utf8_config_names_file_and_offset(tmp_path):

@@ -1,20 +1,24 @@
 """Ingestion formats, augmentation pipeline, and batching."""
+import itertools
 import struct
 
 import numpy as np
 import pytest
 from conftest import rng_for
 
+from trimix import data
 from trimix.data import (
     AugmentPolicy,
     SyntheticSpec,
     batches,
+    derived_rng,
     load_csv,
     load_idx,
     synthetic_blobs,
     two_views,
 )
 from trimix.errors import BatchParityError, ContractError, FormatError
+from trimix.oracle import naive_two_views
 
 
 def write_idx_pair(tmp_path, images, labels, prefix="a"):
@@ -197,6 +201,58 @@ class TestTwoViews:
     def test_probability_bounds_validated(self):
         with pytest.raises(ContractError):
             AugmentPolicy(hflip_p=1.5)
+
+
+# every on/off combination of each transform, with pads up to and beyond
+# the image side
+POLICY_GRID = [
+    AugmentPolicy(pad=pad, hflip_p=flip, brightness=bright, contrast=con, grayscale_p=gray)
+    for pad, flip, bright, con, gray in itertools.product(
+        (0, 1, 2, 3, 16), (0.0, 0.5, 1.0), (0.0, 0.4), (0.0, 0.4), (0.0, 0.1, 1.0))
+]
+
+
+class TestTwoViewsAgainstOracle:
+    """The batched views against the image-by-image definition, byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (3, 8, 8), (1, 15, 15), (3, 7, 9), (1, 28, 28)])
+    def test_same_bytes_as_per_image_oracle(self, shape):
+        for case, policy in enumerate(POLICY_GRID):
+            imgs = rng_for(46, case, *shape).uniform(-0.1, 1.2, size=(4, *shape))
+            vp = two_views(imgs, policy, case, 5, case)
+            x, x_prime = naive_two_views(imgs, policy, case, 5, case)
+            assert vp.x.data.tobytes() == x.tobytes(), policy
+            assert vp.x_prime.data.tobytes() == x_prime.tobytes(), policy
+
+    def test_same_bytes_above_numpy_buffer_size(self):
+        # 3x64x64 = 12,288 values per image: numpy sums a crop view that
+        # large in chunks, which the contrast mean must follow
+        imgs = rng_for(47).uniform(-0.1, 1.2, size=(4, 3, 64, 64))
+        for case, policy in enumerate(p for p in POLICY_GRID if p.contrast and p.pad < 16):
+            vp = two_views(imgs, policy, case, 6)
+            x, x_prime = naive_two_views(imgs, policy, case, 6)
+            assert vp.x.data.tobytes() == x.tobytes(), policy
+            assert vp.x_prime.data.tobytes() == x_prime.tobytes(), policy
+
+    def test_input_never_written(self):
+        imgs = rng_for(48).uniform(-0.1, 1.2, size=(4, 3, 7, 9))
+        before = imgs.copy()
+        for case, policy in enumerate(POLICY_GRID):
+            vp = two_views(imgs, policy, case)
+            assert imgs.tobytes() == before.tobytes(), policy
+            assert not np.shares_memory(vp.x.data, imgs) and not np.shares_memory(vp.x_prime.data, imgs)
+
+    @pytest.mark.parametrize("policy, draws", [(AugmentPolicy.identity(), False), (AugmentPolicy(), True)])
+    def test_one_generator_per_image_and_view_unless_nothing_is_drawn(self, monkeypatch, policy, draws):
+        made = []
+
+        def counting(seed, *key):
+            made.append(key)
+            return derived_rng(seed, *key)
+
+        monkeypatch.setattr(data, "derived_rng", counting)
+        two_views(rng_for(49).uniform(0, 1, size=(6, 1, 8, 8)), policy, 3, 1, 2)
+        assert sorted(made) == ([(1, 2, i, v) for i in range(6) for v in (0, 1)] if draws else [])
 
 
 class TestBatches:

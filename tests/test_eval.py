@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import rng_for
 
+from trimix import eval as evaluation
 from trimix import oracle
 from trimix.config import TriMixConfig
 from trimix.data import SyntheticSpec, synthetic_blobs
@@ -218,9 +219,26 @@ class TestFinetune:
 
     def test_subset_below_one_batch_rejected(self):
         ckpt = make_checkpoint(seed=6)
-        ds = synthetic_blobs(SyntheticSpec(n=40, classes=2, size=8, seed=6))
-        with pytest.raises(ContractError, match="batch"):
-            finetune_semi(ckpt, ds, ds, 0.1, ProbeConfig(epochs=1, batch_size=32))
+        ds = synthetic_blobs(SyntheticSpec(n=40, classes=1, size=8, seed=6))
+        with pytest.raises(ContractError, match="keeps 1 samples, fewer than one batch of 2"):
+            finetune_semi(ckpt, ds, ds, 0.03, ProbeConfig(epochs=1, batch_size=32))
+
+    def test_batch_shrinks_to_a_small_subset(self, monkeypatch):
+        # the defaults: 600 training images in 3 classes, batches of 64
+        cfg = TriMixConfig()
+        train, test = (synthetic_blobs(cfg.synthetic_spec(split)) for split in ("train", "test"))
+        fits = []
+        fit = evaluation._sgd_fit
+
+        def recording(arrays, n, batch, *rest):
+            fits.append((n, batch))
+            return fit(arrays, n, batch, *rest)
+
+        monkeypatch.setattr(evaluation, "_sgd_fit", recording)
+        probe_cfg = ProbeConfig(epochs=2, batch_size=cfg.probe_batch, seed=cfg.seed)
+        for fraction in (0.1, 0.5):
+            finetune_semi(make_checkpoint(input_width=256), train, test, fraction, probe_cfg)
+        assert fits == [(60, 60), (300, 64)]
 
     def test_full_fraction_learns_blobs(self):
         ckpt = make_checkpoint(seed=7)

@@ -178,6 +178,12 @@ CONFIG_VALUES = st.sampled_from(["0", "-1", "2", "7", "1e999", "nan", "0.5", "tr
                                  "fixed(x)", "ZY", "", "1,2", "1" * 5000]) | st.text(max_size=8)
 
 
+# settings that validate checks by building the run's policy, arch and synthetic specs
+RUN_KEYS = ["aug_pad", "aug_hflip", "aug_brightness", "aug_contrast", "aug_grayscale", "encoder_widths",
+            "projector_widths", "activation", "save_every", "synthetic_size", "synthetic_train",
+            "synthetic_classes", "dataset"]
+
+
 class TestConfig:
     @FUZZ
     @given(lines=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES), max_size=4),
@@ -191,3 +197,10 @@ class TestConfig:
     @given(raw=st.binary(max_size=60))
     def test_bytes(self, workdir, raw):
         load_bytes(workdir, "run.cfg", raw, lambda path: load_config(path).validate())
+
+    @FUZZ
+    @given(lines=st.lists(st.tuples(st.sampled_from(RUN_KEYS), CONFIG_VALUES), max_size=4))
+    def test_run_settings(self, workdir, lines):
+        text = "".join(f"{k}={v}\n" for k, v in lines)
+        load_bytes(workdir, "run.cfg", text.encode("utf-8", "surrogatepass"),
+                   lambda path: load_config(path).validate())

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from trimix import train
 from trimix.config import TriMixConfig
-from trimix.data import synthetic_blobs
+from trimix.data import AugmentPolicy, synthetic_blobs, two_views
 from trimix.errors import ArchMismatchError, ContractError, FormatError
 from trimix.model import Arch, ModelParams, init_params
 from trimix.oracle import reference_adam
@@ -205,3 +206,26 @@ class TestPretrain:
         line = open(path).read().splitlines()[1].split(",")
         assert float(line[2]) == 1 / 3
         assert float(line[5]) == value
+
+
+def test_benchmark_call_sites(monkeypatch):
+    """perfbench times a step from `train.two_views` to `train.adam_step`,
+    called through those module globals, and passes `labels=`."""
+    calls = []
+
+    def recorder(name, orig):
+        def wrapped(*args, **kwargs):
+            calls.append((name, "labels" in kwargs))
+            return orig(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(train, "two_views", recorder("two_views", train.two_views))
+    monkeypatch.setattr(train, "adam_step", recorder("adam_step", train.adam_step))
+    cfg = tiny_cfg(epochs=2)
+    _, rows = pretrain(cfg, synthetic_blobs(cfg.synthetic_spec("train")))
+    assert len(rows) == 12
+    assert calls == [("two_views", True), ("adam_step", False)] * len(rows)
+
+    ds = synthetic_blobs(cfg.synthetic_spec("test"))
+    imgs, lbls = ds.images[:8], ds.labels[:8]
+    assert two_views(imgs, AugmentPolicy(), 7, labels=lbls).labels is lbls
