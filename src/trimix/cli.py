@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -10,14 +9,15 @@ import numpy as np
 
 from . import data, eval as evaluation, oracle
 from .config import TriMixConfig, apply_setting, load_config
-from .errors import ContractError, NumericError, TriMixError
+from .errors import ContractError, TriMixError
 from .model import init_params
 from .objective import ground_truth_matrix, loss_bt, loss_con, loss_vrt, trimix_step_loss
 from .stats import cross_correlation, standardize
 from .tensor import Tape, Tensor, backward
-from .train import Checkpoint, load_checkpoint, pretrain
+from .train import Checkpoint, check_resume_arch, load_checkpoint, pretrain
 
 GRADCHECK_TOLERANCE = 1e-4
+GRADCHECK_LAMBDA = 0.3
 # 2 objective evaluations each: about 2% of a default-arch gradcheck
 GRADCHECK_DIRECTIONS = 64
 ORACLE_TOLERANCE = 1e-10
@@ -56,13 +56,6 @@ def resolve_config(args) -> TriMixConfig:
             raise ContractError(f"--set expects KEY=VALUE, got {item!r}")
         name, raw = item.split("=", 1)
         apply_setting(cfg, name, raw)
-    env_seed = os.environ.get("TRIMIX_SEED")
-    if env_seed is not None:
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError as exc:
-            raise ContractError(f"TRIMIX_SEED must be an integer, got {env_seed!r}") from exc
-        print(f"seed overridden by TRIMIX_SEED={cfg.seed}")
     if args.out:
         cfg.out_dir = args.out
     return cfg.validate()
@@ -114,10 +107,14 @@ def _probe_cfg(cfg: TriMixConfig) -> evaluation.ProbeConfig:
 
 
 def cmd_pretrain(args) -> int:
+    """Like `_load_for_eval`, every input (a resume checkpoint and its arch
+    too) is checked before the snapshot is written."""
     cfg = resolve_config(args)
-    train_ds, _ = load_datasets(cfg)
-    write_snapshot(cfg, "pretrain")
     resume = load_checkpoint(args.resume) if args.resume else None
+    train_ds, _ = load_datasets(cfg)
+    if resume is not None:
+        check_resume_arch(resume, cfg.arch_for(train_ds.input_width))
+    write_snapshot(cfg, "pretrain")
     ckpt, rows = pretrain(cfg, train_ds, out_dir=cfg.out_dir, resume=resume)
     last = rows[-1] if rows else None
     print(f"pretrained {ckpt.epoch} epochs, {len(rows)} steps logged to {cfg.out_dir}/metrics.csv")
@@ -172,7 +169,8 @@ def cmd_export(args) -> int:
 
 def gradcheck(cfg: TriMixConfig, batch: int = 8, side: int = 16) -> float:
     """Max relative error of tape gradients vs central finite differences
-    for the full objective with all three terms active and fixed mixing.
+    for the full objective with all three terms active at the fixed mixing
+    factor GRADCHECK_LAMBDA.
 
     Two checks at h = 1e-5 share the result:
     - every parameter coordinate, with the perturbed objectives evaluated
@@ -182,16 +180,14 @@ def gradcheck(cfg: TriMixConfig, batch: int = 8, side: int = 16) -> float:
       with `trimix_step_loss` itself evaluated, so the tape's backward is
       also held to the forward that training runs.
     """
-    cfg = dataclasses.replace(cfg, lambda_policy="fixed", lambda_fixed=0.3)
     spec = data.SyntheticSpec(n=batch, classes=2, size=side, seed=cfg.seed)
     ds = data.synthetic_blobs(spec)
     views = data.two_views(ds.images, data.AugmentPolicy(), cfg.seed, labels=ds.labels)
     params = init_params(cfg.arch_for(side * side), seed=cfg.seed)
-    rng = data.derived_rng(0)
 
     tape = Tape()
     attached = params.attach(tape)
-    bd = trimix_step_loss(views, attached, cfg, rng)
+    bd = trimix_step_loss(views, attached, cfg, GRADCHECK_LAMBDA)
     grad_map = backward(bd.loss)
     tape_grads = [grad_map[t.node].data for t in attached.tensors()]
 
@@ -202,15 +198,16 @@ def gradcheck(cfg: TriMixConfig, batch: int = 8, side: int = 16) -> float:
     for _ in range(GRADCHECK_DIRECTIONS):
         d = draw.normal(size=tape_flat.size)
         d /= np.sqrt(d @ d)
-        along.append(oracle.directional_diff(lambda: trimix_step_loss(views, params, cfg, rng).total, flat, d))
+        along.append(oracle.directional_diff(
+            lambda: trimix_step_loss(views, params, cfg, GRADCHECK_LAMBDA).total, flat, d))
         tape_along.append(float(tape_flat @ d))
 
     def arrays(layers):
         return [(w.data, b.data) for w, b in layers]
 
     _, fd_grads = oracle.objective_finite_diff(
-        views.x.data.reshape(batch, -1), views.x_prime.data.reshape(batch, -1),
-        arrays(params.encoder_layers), arrays(params.projector_layers), cfg, bd.lam,
+        views.x.reshape(batch, -1), views.x_prime.reshape(batch, -1),
+        arrays(params.encoder_layers), arrays(params.projector_layers), cfg, GRADCHECK_LAMBDA,
     )
     return max(
         oracle.max_relative_error(tape_along, along),
@@ -311,7 +308,7 @@ def run(argv=None) -> int:
         return COMMANDS[args.command](args)
     except TriMixError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, NumericError) else exc.exit_code
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BatchParityError, ContractError, FormatError
-from .tensor import Tensor
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -59,8 +58,8 @@ class ViewPair:
     """Two independently augmented views of one batch; labels ride along
     for the evaluators only and never reach the objective."""
 
-    x: Tensor
-    x_prime: Tensor
+    x: np.ndarray  # [B, C, H, W]
+    x_prime: np.ndarray
     labels: np.ndarray | None = None
 
 
@@ -307,7 +306,7 @@ def two_views(
     if gray.any():
         out[gray] = out[gray].mean(axis=1, keepdims=True)
     np.clip(out, 0.0, 1.0, out=out)
-    return ViewPair(x=Tensor(out[:n]), x_prime=Tensor(out[n:]), labels=labels)
+    return ViewPair(x=out[:n], x_prime=out[n:], labels=labels)
 
 
 def batches(n: int, batch_size: int, seed: int, *key: int) -> list[np.ndarray]:

@@ -1,11 +1,12 @@
 """The TriMix objective.
 
-One training step mixes a view with its row-reversed batch, pushes the
-virtual batch through the network, and combines three terms: the
-redundancy-reduction loss on the feature correlation matrix, the
-decomposition loss tying the sample-similarity matrix to its mixing
-ground truth, and the consistency loss tying virtual embeddings to the
-linear mix of the originals'.
+One training step mixes a view with its row-reversed batch by the
+step's mixing factor λ, pushes the virtual batch through the network,
+and combines three terms: the redundancy-reduction loss on the feature
+correlation matrix, the decomposition loss tying the sample-similarity
+matrix to its mixing ground truth, and the consistency loss tying
+virtual embeddings to the linear mix of the originals'.  The objective
+is a function of the views, the parameters and λ; the caller chooses λ.
 """
 from __future__ import annotations
 
@@ -27,15 +28,7 @@ class LossBreakdown:
     l_bt_rr: float
     l_vrt: float
     l_con: float
-    lam: float
     loss: Tensor = field(repr=False, default=None)  # on-tape scalar for backward
-
-
-def sample_mix_factor(cfg, rng) -> float:
-    """Per-step mixing coefficient, shared by every place that mixes."""
-    if cfg.lambda_policy == "fixed":
-        return float(cfg.lambda_fixed)
-    return float(rng.random())
 
 
 def mixup(x: Tensor, lam: float) -> Tensor:
@@ -143,8 +136,7 @@ def _term(name: str):
 
 
 def _flatten_views(views) -> tuple[Tensor, Tensor]:
-    xb = views.x.data
-    xpb = views.x_prime.data
+    xb, xpb = views.x, views.x_prime
     if xb.shape != xpb.shape:
         raise DimensionError(
             f"view pair shapes {list(xb.shape)} and {list(xpb.shape)} do not match"
@@ -153,8 +145,8 @@ def _flatten_views(views) -> tuple[Tensor, Tensor]:
     return Tensor(xb.reshape(b, -1)), Tensor(xpb.reshape(b, -1))
 
 
-def trimix_step_loss(views, params: ModelParams, cfg, rng, trace: dict | None = None) -> LossBreakdown:
-    """One full objective evaluation on a view pair.
+def trimix_step_loss(views, params: ModelParams, cfg, lam: float, trace: dict | None = None) -> LossBreakdown:
+    """One full objective evaluation on a view pair at mixing factor `lam`.
 
     `params` should be tape-attached when gradients are wanted; the
     returned breakdown carries the on-tape total in `.loss`.  Passing a
@@ -176,8 +168,6 @@ def trimix_step_loss(views, params: ModelParams, cfg, rng, trace: dict | None = 
         c = cross_correlation(zs, zs_p, "features")
         l_inv, l_rr = loss_bt(c)
         l_bt = add(l_inv, scalar_mul(l_rr, cfg.alpha))
-
-    lam = sample_mix_factor(cfg, rng)
 
     with _term("virtual forward"):
         x_vrt = mixup(x, lam)
@@ -238,6 +228,5 @@ def trimix_step_loss(views, params: ModelParams, cfg, rng, trace: dict | None = 
         l_bt_rr=l_rr.item(),
         l_vrt=l_vrt_t.item(),
         l_con=l_con_t.item(),
-        lam=lam,
         loss=total,
     )

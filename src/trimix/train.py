@@ -239,11 +239,18 @@ def load_checkpoint(path: str) -> Checkpoint:
     )
 
 
-def metrics_row(step: int, epoch: int, bd) -> dict:
+def check_resume_arch(resume: Checkpoint, arch: Arch) -> None:
+    if resume.arch != arch:
+        raise ArchMismatchError(
+            f"resume checkpoint arch {resume.arch.to_dict()} does not match config arch {arch.to_dict()}"
+        )
+
+
+def metrics_row(step: int, epoch: int, lam: float, bd) -> dict:
     return {
         "step": step,
         "epoch": epoch,
-        "lambda": bd.lam,
+        "lambda": lam,
         "l_bt_inv": bd.l_bt_inv,
         "l_bt_rr": bd.l_bt_rr,
         "l_vrt": bd.l_vrt,
@@ -272,10 +279,7 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
     policy = cfg.augment_policy()
     arch = cfg.arch_for(dataset.input_width)
     if resume is not None:
-        if resume.arch != arch:
-            raise ArchMismatchError(
-                f"resume checkpoint arch {resume.arch.to_dict()} does not match config arch {arch.to_dict()}"
-            )
+        check_resume_arch(resume, arch)
         params, adam = resume.params, resume.adam
         start_epoch = resume.epoch + 1
     else:
@@ -298,17 +302,18 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
             step = (epoch - 1) * steps_per_epoch + b_idx
             views = two_views(dataset.images[indices], policy, cfg.seed, STREAM_AUGMENT, epoch, b_idx,
                               labels=dataset.labels[indices])
+            lam = (float(cfg.lambda_fixed) if cfg.lambda_policy == "fixed"
+                   else derived_rng(cfg.seed, STREAM_LAMBDA, epoch, b_idx).random())
             tape = Tape()
             attached = params.attach(tape)
-            lam_rng = derived_rng(cfg.seed, STREAM_LAMBDA, epoch, b_idx)
             try:
-                bd = trimix_step_loss(views, attached, cfg, lam_rng)
+                bd = trimix_step_loss(views, attached, cfg, lam)
                 grad_map = backward(bd.loss)
             except NumericError as exc:
                 raise NumericError(f"step {step} (epoch {epoch}): {exc}") from exc
             grads = [grad_map[t.node].data for t in attached.tensors()]
             adam_step(params, grads, adam)
-            rows.append(metrics_row(step, epoch, bd))
+            rows.append(metrics_row(step, epoch, lam, bd))
         ckpt.epoch = epoch
         if out_dir is not None and cfg.save_every > 0 and epoch % cfg.save_every == 0:
             save_checkpoint(os.path.join(out_dir, f"checkpoint_epoch{epoch:04d}.tmx"), ckpt)

@@ -1,6 +1,9 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import numpy as np
 
 from trimix import oracle
@@ -44,3 +47,17 @@ def contract(out: Tensor, seed: int = 0) -> Tensor:
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def imported_names(module) -> set[str]:
+    """Every module a source file imports, and every `module.name` it
+    imports from one; relative imports resolve into `trimix`."""
+    imported = set()
+    for node in ast.walk(ast.parse(pathlib.Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = (("trimix." if node.level else "") + (node.module or "")).rstrip(".")
+            imported.add(source)
+            imported.update(f"{source}.{alias.name}" for alias in node.names)
+    return imported

@@ -67,12 +67,6 @@ class TestPretrainCommand:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
-    def test_env_seed_override_is_logged(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TRIMIX_SEED", "4242")
-        out = pretrain_once(tmp_path, "env")
-        assert "TRIMIX_SEED=4242" in capsys.readouterr().out
-        assert "seed=4242" in open(f"{out}/resolved_config_pretrain.txt").read()
-
     def test_resume_flag(self, tmp_path):
         out = pretrain_once(tmp_path, "first")
         out2 = str(tmp_path / "second")
@@ -84,6 +78,21 @@ class TestPretrainCommand:
         assert code == 0
         lines = open(f"{out2}/metrics.csv").read().splitlines()
         assert lines[1].split(",")[1] == "2"  # resumed run starts at epoch 2
+
+    @pytest.mark.parametrize("case, reason", [("missing", "missing.tmx"), ("arch", "does not match")])
+    def test_failed_resume_leaves_no_output(self, tmp_path, capsys, case, reason):
+        if case == "missing":
+            ckpt, extra = str(tmp_path / "missing.tmx"), []
+        else:
+            ckpt = f"{pretrain_once(tmp_path, 'first')}/checkpoint.tmx"
+            extra = ["--set", "encoder_widths=12,6"]
+            capsys.readouterr()
+        out = tmp_path / "second"
+        code = run(["pretrain", *FAST_OVERRIDES, *extra, "--resume", ckpt, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and reason in err[0], err
+        assert not out.exists()
 
 
 class TestEvalCommands:
@@ -213,9 +222,9 @@ class TestVerificationCommands:
 
         original = trimix.cli.trimix_step_loss
 
-        def drifted(views, params, cfg, rng):
+        def drifted(views, params, cfg, lam):
             # off-tape evaluations gain a term the tape's backward never sees
-            bd = original(views, params, cfg, rng)
+            bd = original(views, params, cfg, lam)
             w = params.encoder_layers[0][0]
             if w.tape is None:
                 bd.total += 0.5 * float((w.data ** 2).sum())
@@ -261,8 +270,7 @@ def test_pretrain_bytes_do_not_depend_on_blas_threads(tmp_path):
     out = str(tmp_path / "run")
     outputs = []
     for threads in ("1", "2"):
-        env = {k: v for k, v in os.environ.items() if k != "TRIMIX_SEED"}
-        env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
         subprocess.run(
             [sys.executable, "-m", "trimix.cli", "pretrain", "--set", "epochs=3", "--out", out],
             env=env, check=True, capture_output=True,

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import rng_for
+from conftest import imported_names, rng_for
 
 from trimix import data
 from trimix.data import (
@@ -134,29 +134,29 @@ class TestTwoViews:
     def test_identity_policy_returns_input(self):
         imgs = rng_for(40).uniform(0, 1, size=(4, 1, 6, 6))
         vp = two_views(imgs, AugmentPolicy.identity(), 123)
-        assert np.array_equal(vp.x.data, imgs)
-        assert np.array_equal(vp.x_prime.data, imgs)
+        assert np.array_equal(vp.x, imgs)
+        assert np.array_equal(vp.x_prime, imgs)
 
     def test_forced_hflip_reverses_columns(self):
         img = np.array([[[[0.1, 0.9], [0.3, 0.7]]]])
         imgs = np.concatenate([img, img])
         policy = AugmentPolicy(pad=0, hflip_p=1.0, brightness=0.0, contrast=0.0, grayscale_p=0.0)
         vp = two_views(imgs, policy, 0)
-        np.testing.assert_array_equal(vp.x.data[0, 0], [[0.9, 0.1], [0.7, 0.3]])
+        np.testing.assert_array_equal(vp.x[0, 0], [[0.9, 0.1], [0.7, 0.3]])
 
     def test_seed_determinism(self):
         imgs = rng_for(41).uniform(0, 1, size=(6, 1, 8, 8))
         a = two_views(imgs, AugmentPolicy(), 99)
         b = two_views(imgs, AugmentPolicy(), 99)
-        assert np.array_equal(a.x.data, b.x.data)
-        assert np.array_equal(a.x_prime.data, b.x_prime.data)
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.x_prime, b.x_prime)
         c = two_views(imgs, AugmentPolicy(), 100)
-        assert not np.array_equal(a.x.data, c.x.data)
+        assert not np.array_equal(a.x, c.x)
 
     def test_views_are_independent_draws(self):
         imgs = rng_for(42).uniform(0, 1, size=(4, 1, 8, 8))
         vp = two_views(imgs, AugmentPolicy(), 7)
-        assert not np.array_equal(vp.x.data, vp.x_prime.data)
+        assert not np.array_equal(vp.x, vp.x_prime)
 
     def test_odd_batch_rejected(self):
         with pytest.raises(BatchParityError):
@@ -174,7 +174,7 @@ class TestTwoViews:
             )
             imgs = rng.uniform(0, 1, size=(4, 3, 6, 6))
             vp = two_views(imgs, policy, case)
-            for view in (vp.x.data, vp.x_prime.data):
+            for view in (vp.x, vp.x_prime):
                 assert view.min() >= 0.0 and view.max() <= 1.0
                 assert view.shape == imgs.shape
 
@@ -182,7 +182,7 @@ class TestTwoViews:
         imgs = rng_for(45).uniform(0, 1, size=(2, 3, 4, 4))
         policy = AugmentPolicy(pad=0, hflip_p=0.0, brightness=0.0, contrast=0.0, grayscale_p=1.0)
         vp = two_views(imgs, policy, 3)
-        out = vp.x.data
+        out = vp.x
         np.testing.assert_array_equal(out[:, 0], out[:, 1])
         np.testing.assert_array_equal(out[:, 0], out[:, 2])
         np.testing.assert_allclose(out[:, 0], imgs.mean(axis=1), atol=1e-15)
@@ -195,8 +195,8 @@ class TestTwoViews:
         a = two_views(imgs, AugmentPolicy(), 5)
         b = two_views(other, AugmentPolicy(), 5)
         unchanged = [i for i in range(6) if i != 3]
-        assert np.array_equal(a.x.data[unchanged], b.x.data[unchanged])
-        assert not np.array_equal(a.x.data[3], b.x.data[3])
+        assert np.array_equal(a.x[unchanged], b.x[unchanged])
+        assert not np.array_equal(a.x[3], b.x[3])
 
     def test_probability_bounds_validated(self):
         with pytest.raises(ContractError):
@@ -221,8 +221,8 @@ class TestTwoViewsAgainstOracle:
             imgs = rng_for(46, case, *shape).uniform(-0.1, 1.2, size=(4, *shape))
             vp = two_views(imgs, policy, case, 5, case)
             x, x_prime = naive_two_views(imgs, policy, case, 5, case)
-            assert vp.x.data.tobytes() == x.tobytes(), policy
-            assert vp.x_prime.data.tobytes() == x_prime.tobytes(), policy
+            assert vp.x.tobytes() == x.tobytes(), policy
+            assert vp.x_prime.tobytes() == x_prime.tobytes(), policy
 
     def test_same_bytes_above_numpy_buffer_size(self):
         # 3x64x64 = 12,288 values per image: numpy sums a crop view that
@@ -231,8 +231,8 @@ class TestTwoViewsAgainstOracle:
         for case, policy in enumerate(p for p in POLICY_GRID if p.contrast and p.pad < 16):
             vp = two_views(imgs, policy, case, 6)
             x, x_prime = naive_two_views(imgs, policy, case, 6)
-            assert vp.x.data.tobytes() == x.tobytes(), policy
-            assert vp.x_prime.data.tobytes() == x_prime.tobytes(), policy
+            assert vp.x.tobytes() == x.tobytes(), policy
+            assert vp.x_prime.tobytes() == x_prime.tobytes(), policy
 
     def test_input_never_written(self):
         imgs = rng_for(48).uniform(-0.1, 1.2, size=(4, 3, 7, 9))
@@ -240,7 +240,7 @@ class TestTwoViewsAgainstOracle:
         for case, policy in enumerate(POLICY_GRID):
             vp = two_views(imgs, policy, case)
             assert imgs.tobytes() == before.tobytes(), policy
-            assert not np.shares_memory(vp.x.data, imgs) and not np.shares_memory(vp.x_prime.data, imgs)
+            assert not np.shares_memory(vp.x, imgs) and not np.shares_memory(vp.x_prime, imgs)
 
     @pytest.mark.parametrize("policy, draws", [(AugmentPolicy.identity(), False), (AugmentPolicy(), True)])
     def test_one_generator_per_image_and_view_unless_nothing_is_drawn(self, monkeypatch, policy, draws):
@@ -283,3 +283,9 @@ class TestBatches:
     def test_batch_below_two_rejected(self, size):
         with pytest.raises(ContractError, match="outside"):
             batches(10, size, 0)
+
+
+def test_data_imports_nothing_from_the_tensor_module():
+    """Views are plain arrays; the objective puts them on a tape."""
+    imported = imported_names(data)
+    assert not {n for n in imported if n == "trimix.tensor" or n.startswith("trimix.tensor.")}, sorted(imported)

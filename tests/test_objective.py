@@ -23,8 +23,8 @@ from trimix.tensor import Tape, Tensor, add, backward, scalar_mul
 def make_views(b=8, width=16, seed=0):
     rng = rng_for(seed)
     return ViewPair(
-        x=Tensor(rng.uniform(0.0, 1.0, size=(b, width))),
-        x_prime=Tensor(rng.uniform(0.0, 1.0, size=(b, width))),
+        x=rng.uniform(0.0, 1.0, size=(b, width)),
+        x_prime=rng.uniform(0.0, 1.0, size=(b, width)),
     )
 
 
@@ -190,7 +190,7 @@ class TestStepLoss:
     def test_breakdown_recombination_identity(self):
         cfg = small_cfg()
         params = init_params(cfg.arch_for(16), seed=1)
-        bd = trimix_step_loss(make_views(), params, cfg, rng_for(11))
+        bd = trimix_step_loss(make_views(), params, cfg, rng_for(11).random())
         recon = (bd.l_bt_inv + cfg.alpha * bd.l_bt_rr) + cfg.beta * bd.l_vrt + cfg.gamma * bd.l_con
         assert abs(recon - bd.total) < 1e-12
 
@@ -198,7 +198,7 @@ class TestStepLoss:
         cfg = small_cfg()
         params = init_params(cfg.arch_for(16), seed=2)
         for case in range(20):
-            bd = trimix_step_loss(make_views(seed=case), params, cfg, rng_for(12, case))
+            bd = trimix_step_loss(make_views(seed=case), params, cfg, rng_for(12, case).random())
             assert bd.l_bt_inv >= 0 and bd.l_bt_rr >= 0
             assert 0 <= bd.l_vrt <= 2.0
             assert bd.l_con >= 0
@@ -207,28 +207,26 @@ class TestStepLoss:
         cfg = small_cfg(activation="identity", normalize_on=False)
         params = init_params(cfg.arch_for(16), seed=3)
         for case in range(20):
-            cfg.lambda_policy = "fixed"
-            cfg.lambda_fixed = float(rng_for(13, case).random())
-            bd = trimix_step_loss(make_views(seed=case), params, cfg, rng_for(13, case))
+            bd = trimix_step_loss(make_views(seed=case), params, cfg, rng_for(13, case).random())
             assert bd.l_con < 1e-9
 
     def test_lambda_one_endpoints_are_bitwise(self):
-        cfg = small_cfg(lambda_policy="fixed", lambda_fixed=1.0)
+        cfg = small_cfg()
         params = init_params(cfg.arch_for(16), seed=4)
         views = make_views(seed=5)
         trace = {}
-        trimix_step_loss(views, params, cfg, rng_for(14), trace=trace)
-        assert np.array_equal(trace["x_vrt"], views.x.data.reshape(8, -1))
+        trimix_step_loss(views, params, cfg, 1.0, trace=trace)
+        assert np.array_equal(trace["x_vrt"], views.x.reshape(8, -1))
         assert np.array_equal(trace["z_tilde"], trace["base_std"])
         assert np.array_equal(trace["gt"], np.eye(8))
 
     def test_lambda_zero_endpoint(self):
-        cfg = small_cfg(lambda_policy="fixed", lambda_fixed=0.0)
+        cfg = small_cfg()
         params = init_params(cfg.arch_for(16), seed=4)
         views = make_views(seed=6)
         trace = {}
-        trimix_step_loss(views, params, cfg, rng_for(15), trace=trace)
-        assert np.array_equal(trace["x_vrt"], views.x.data.reshape(8, -1)[::-1])
+        trimix_step_loss(views, params, cfg, 0.0, trace=trace)
+        assert np.array_equal(trace["x_vrt"], views.x.reshape(8, -1)[::-1])
 
     def test_bt_only_totals_and_gradients_match_pure_bt_graph(self):
         cfg = small_cfg(enable_vrt=False, enable_con=False)
@@ -237,7 +235,7 @@ class TestStepLoss:
 
         tape = Tape()
         attached = params.attach(tape)
-        bd = trimix_step_loss(views, attached, cfg, rng_for(16))
+        bd = trimix_step_loss(views, attached, cfg, rng_for(16).random())
         assert bd.total == bd.l_bt_inv + cfg.alpha * bd.l_bt_rr
         grads_a = {i: g for i, g in enumerate(
             backward(bd.loss)[t.node].data for t in attached.tensors())}
@@ -246,8 +244,8 @@ class TestStepLoss:
 
         tape_b = Tape()
         attached_b = params.attach(tape_b)
-        x = Tensor(views.x.data.reshape(8, -1))
-        xp = Tensor(views.x_prime.data.reshape(8, -1))
+        x = Tensor(views.x.reshape(8, -1))
+        xp = Tensor(views.x_prime.reshape(8, -1))
         zs = standardize(forward(x, attached_b).z, "batch")
         zs_p = standardize(forward(xp, attached_b).z, "batch")
         l_inv, l_rr = loss_bt(cross_correlation(zs, zs_p, "features"))
@@ -258,16 +256,16 @@ class TestStepLoss:
 
     def test_full_gradient_matches_finite_differences(self):
         # two affine layers, embedding width 16, fixed mixing factor
-        cfg = small_cfg(lambda_policy="fixed", lambda_fixed=0.3)
+        cfg = small_cfg()
         params = init_params(cfg.arch_for(16), seed=8)
         views = make_views(seed=8)
         tape = Tape()
         attached = params.attach(tape)
-        bd = trimix_step_loss(views, attached, cfg, rng_for(17))
+        bd = trimix_step_loss(views, attached, cfg, 0.3)
         grad_map = backward(bd.loss)
         tape_grads = [grad_map[t.node].data for t in attached.tensors()]
         fd = oracle.finite_diff(
-            lambda: trimix_step_loss(views, params, cfg, rng_for(17)).total,
+            lambda: trimix_step_loss(views, params, cfg, 0.3).total,
             [t.data for t in params.tensors()],
         )
         err = max(oracle.max_relative_error(a, b) for a, b in zip(tape_grads, fd))
@@ -277,21 +275,20 @@ class TestStepLoss:
         views = make_views(seed=9)
         totals = {}
         for placement in ("ZZ", "YY", "ZY"):
-            cfg = small_cfg(placement=placement, lambda_policy="fixed", lambda_fixed=0.4)
+            cfg = small_cfg(placement=placement)
             params = init_params(cfg.arch_for(16), seed=9)
-            totals[placement] = trimix_step_loss(views, params, cfg, rng_for(18)).total
+            totals[placement] = trimix_step_loss(views, params, cfg, 0.4).total
         assert totals["ZZ"] != totals["YY"]
         assert totals["ZZ"] != totals["ZY"]
 
     def test_feature_norm_toggle_changes_virtual_normalization(self):
         views = make_views(seed=10)
-        base = dict(lambda_policy="fixed", lambda_fixed=0.4)
-        cfg_on = small_cfg(**base)
-        cfg_off = small_cfg(enable_feature_norm=False, **base)
+        cfg_on = small_cfg()
+        cfg_off = small_cfg(enable_feature_norm=False)
         params = init_params(cfg_on.arch_for(16), seed=10)
         trace_on, trace_off = {}, {}
-        trimix_step_loss(views, params, cfg_on, rng_for(19), trace=trace_on)
-        trimix_step_loss(views, params, cfg_off, rng_for(19), trace=trace_off)
+        trimix_step_loss(views, params, cfg_on, 0.4, trace=trace_on)
+        trimix_step_loss(views, params, cfg_off, 0.4, trace=trace_off)
         on, off = trace_on["virt_norm"], trace_off["virt_norm"]
         # with the feature pass, every sample row ends standardized
         assert np.abs(on.std(axis=1) - 1.0).max() < 1e-10
@@ -303,16 +300,16 @@ class TestStepLoss:
     def test_odd_batch_rejected(self):
         cfg = small_cfg()
         params = init_params(cfg.arch_for(16), seed=11)
-        views = ViewPair(x=Tensor(np.ones((3, 16))), x_prime=Tensor(np.ones((3, 16))))
+        views = ViewPair(x=np.ones((3, 16)), x_prime=np.ones((3, 16)))
         with pytest.raises(BatchParityError):
-            trimix_step_loss(views, params, cfg, rng_for(20))
+            trimix_step_loss(views, params, cfg, 0.5)
 
     def test_numeric_failure_names_the_stage(self):
         cfg = small_cfg()
         params = init_params(cfg.arch_for(16), seed=12)
         params.encoder_layers[0][0].data[0, 0] = np.nan
         with pytest.raises(NumericError, match="forward"):
-            trimix_step_loss(make_views(seed=11), params, cfg, rng_for(21))
+            trimix_step_loss(make_views(seed=11), params, cfg, 0.5)
 
     def test_mix_factor_range(self):
         for lam in (-0.1, 1.1):

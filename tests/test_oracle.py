@@ -2,12 +2,9 @@
 these tests pin their trivial cases.  The batched finite-difference
 evaluator of the objective is held to the scalar `finite_diff` over the
 tape's own objective."""
-import ast
-import pathlib
-
 import numpy as np
 import pytest
-from conftest import rng_for
+from conftest import imported_names, rng_for
 
 from trimix import oracle
 from trimix.config import TriMixConfig
@@ -26,7 +23,6 @@ from trimix.oracle import (
     naive_mean_abs,
     reference_adam,
 )
-from trimix.tensor import Tensor
 
 
 class TestNaiveCorrelation:
@@ -116,15 +112,7 @@ def test_report_pass_fail():
 
 
 def test_oracle_imports_none_of_the_code_it_certifies():
-    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            module = ("trimix." if node.level else "") + (node.module or "")
-            imported.add(module.rstrip("."))
-            imported.update(f"{module.rstrip('.')}.{alias.name}" for alias in node.names)
+    imported = imported_names(oracle)
     certified = {f"trimix.{name}" for name in ("tensor", "stats", "objective", "model", "data")}
     assert not imported & certified, sorted(imported & certified)
 
@@ -132,36 +120,35 @@ def test_oracle_imports_none_of_the_code_it_certifies():
 class TestObjectiveFiniteDiff:
     """The batched evaluator against the scalar finite_diff over the tape's
     objective: 16-wide input, two-layer 8-wide encoder and projector (so
-    the ReLU between layers is exercised), B=8."""
+    the ReLU between layers is exercised), B=8, mixing factor LAM."""
+
+    LAM = 0.3
 
     @staticmethod
     def setup_case(seed=0, **overrides):
-        settings = dict(
-            encoder_widths=(8, 8), projector_widths=(8, 8), batch_size=8,
-            lambda_policy="fixed", lambda_fixed=0.3,
-        )
+        settings = dict(encoder_widths=(8, 8), projector_widths=(8, 8), batch_size=8)
         settings.update(overrides)
         cfg = TriMixConfig(**settings).validate()
         rng = rng_for(seed)
         views = ViewPair(
-            x=Tensor(rng.uniform(0.0, 1.0, size=(8, 16))),
-            x_prime=Tensor(rng.uniform(0.0, 1.0, size=(8, 16))),
+            x=rng.uniform(0.0, 1.0, size=(8, 16)),
+            x_prime=rng.uniform(0.0, 1.0, size=(8, 16)),
         )
         return cfg, views, init_params(cfg.arch_for(16), seed=seed)
 
-    @staticmethod
-    def batched(cfg, views, params, h=1e-5):
+    @classmethod
+    def batched(cls, cfg, views, params, h=1e-5):
         def arrays(layers):
             return [(w.data, b.data) for w, b in layers]
 
         return oracle.objective_finite_diff(
-            views.x.data, views.x_prime.data,
-            arrays(params.encoder_layers), arrays(params.projector_layers), cfg, cfg.lambda_fixed, h=h,
+            views.x, views.x_prime,
+            arrays(params.encoder_layers), arrays(params.projector_layers), cfg, cls.LAM, h=h,
         )
 
-    @staticmethod
-    def step_total(cfg, views, params):
-        return trimix_step_loss(views, params, cfg, np.random.default_rng(0)).total
+    @classmethod
+    def step_total(cls, cfg, views, params):
+        return trimix_step_loss(views, params, cfg, cls.LAM).total
 
     @pytest.mark.parametrize("overrides", [
         dict(placement="ZZ"),
@@ -199,7 +186,7 @@ class TestObjectiveFiniteDiff:
         # every coordinate except those of encoder weight row 0, which
         # multiply an all-zero input column
         cfg, views, params = self.setup_case(seed=5, normalize_on=False, activation="identity")
-        views.x.data[:, 0] = 0.0
-        views.x_prime.data[:, 0] = 0.0
+        views.x[:, 0] = 0.0
+        views.x_prime[:, 0] = 0.0
         with pytest.raises(NumericError, match="parameter 0 coordinate 8$"):
             self.batched(cfg, views, params, h=1e200)

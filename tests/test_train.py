@@ -4,7 +4,7 @@ import pytest
 
 from trimix import train
 from trimix.config import TriMixConfig
-from trimix.data import AugmentPolicy, synthetic_blobs, two_views
+from trimix.data import AugmentPolicy, derived_rng, synthetic_blobs, two_views
 from trimix.errors import ArchMismatchError, ContractError, FormatError
 from trimix.model import Arch, ModelParams, init_params
 from trimix.oracle import reference_adam
@@ -196,6 +196,26 @@ class TestPretrain:
         assert (tmp_path / "run" / "checkpoint.tmx").exists()
         assert (tmp_path / "run" / "checkpoint_epoch0001.tmx").exists()
         assert len(rows) == 2 * (48 // 8)
+
+    @pytest.mark.parametrize("policy", ["uniform", "fixed"])
+    def test_lambda_column_follows_the_policy(self, monkeypatch, policy):
+        made = []
+
+        def counting(seed, *key):
+            made.append(key)
+            return derived_rng(seed, *key)
+
+        monkeypatch.setattr(train, "derived_rng", counting)
+        cfg = tiny_cfg(lambda_policy=policy, lambda_fixed=0.3)
+        _, rows = pretrain(cfg, synthetic_blobs(cfg.synthetic_spec("train")))
+        per_epoch = cfg.synthetic_train // cfg.batch_size
+        keys = [(2, r["epoch"], r["step"] - (r["epoch"] - 1) * per_epoch) for r in rows]
+        if policy == "uniform":
+            assert [r["lambda"] for r in rows] == [derived_rng(cfg.seed, *k).random() for k in keys]
+            assert made == keys
+        else:
+            assert [r["lambda"] for r in rows] == [0.3] * len(rows)
+            assert made == []
 
     def test_metrics_floats_round_trip(self, tmp_path):
         value = 0.0123456789012345678
