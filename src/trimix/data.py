@@ -1,8 +1,10 @@
 """Dataset ingestion, two-view augmentation, and even-sized batching.
 
-All randomness flows from per-sample seed sequences derived from the
+All randomness flows from `derived_rng(seed, *key)` streams, keyed by the
 master seed and a structural key (stream, epoch, batch, index, view), so
-results never depend on execution order or worker count.
+results never depend on execution order or worker count.  `two_views`
+computes its per-image streams batch-wide (`streams.raw_words`), with the
+values those generators would draw.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BatchParityError, ContractError, FormatError
+from .streams import MASK32, as_random, derived_rng, raw_words
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -24,11 +27,6 @@ STREAM_AUGMENT = 1
 STREAM_LAMBDA = 2
 STREAM_SHUFFLE = 3
 STREAM_SYNTH = 4
-
-
-def derived_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic generator for (seed, key...) independent of call order."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
 @dataclass
@@ -239,7 +237,7 @@ def synthetic_blobs(spec: SyntheticSpec) -> Dataset:
     return Dataset(images=images, labels=labels)
 
 
-def _draws(policy: AugmentPolicy, rng: np.random.Generator | None) -> tuple:
+def _draws(policy: AugmentPolicy, rng: np.random.Generator) -> tuple:
     """One image's transform parameters (oy, ox, flip, brightness factor,
     contrast factor, grayscale), drawn in pipeline order; a transform the
     policy turns off draws nothing."""
@@ -254,6 +252,46 @@ def _draws(policy: AugmentPolicy, rng: np.random.Generator | None) -> tuple:
     return oy, ox, flip, bright, con, gray
 
 
+def _stack_draws(policy: AugmentPolicy, seed: int, key: tuple, n: int) -> tuple:
+    """`_draws` of derived_rng(seed, *key, i, v) for every row v*n + i of
+    the two-view stack, as arrays, computed from the streams' raw words the
+    way numpy's Generator consumes them:
+
+    - both crop offsets share the first word, low half then high half,
+      each Lemire's `(half * (2p+1)) >> 32`;
+    - `random()` takes a fresh word (`streams.as_random`), and
+      `uniform(a, b)` is `a + (b - a) * random()`.
+
+    A bounded draw that Lemire's method rejects (probability 2**-32 per
+    draw) makes numpy draw again: that row builds its generator.
+    """
+    k = 2 * n
+    rows = np.stack([np.tile(np.arange(n), 2), np.repeat([0, 1], n)], axis=1)
+    drawn = (policy.pad, policy.hflip_p, policy.brightness, policy.contrast, policy.grayscale_p)
+    count = sum(p > 0 for p in drawn)
+    words = iter(raw_words(seed, key, rows, count).T if count else ())
+
+    def uniform(a):  # Generator.uniform(-a, a)
+        return -a + (a - -a) * as_random(next(words))
+
+    oy, ox, reject = np.zeros(k, np.int64), np.zeros(k, np.int64), np.zeros(k, bool)
+    if policy.pad > 0:
+        span = 2 * policy.pad + 1
+        threshold = (MASK32 - 2 * policy.pad) % span
+        first = next(words)
+        m_y, m_x = (first & MASK32) * span, (first >> 32) * span
+        oy[:], ox[:] = m_y >> 32, m_x >> 32
+        reject = ((m_y & MASK32) < threshold) | ((m_x & MASK32) < threshold)
+    flip = as_random(next(words)) < policy.hflip_p if policy.hflip_p > 0 else np.zeros(k, bool)
+    bright = 1.0 + uniform(policy.brightness) if policy.brightness > 0 else np.ones(k)
+    con = 1.0 + uniform(policy.contrast) if policy.contrast > 0 else np.ones(k)
+    gray = as_random(next(words)) < policy.grayscale_p if policy.grayscale_p > 0 else np.zeros(k, bool)
+    for r in np.flatnonzero(reject):
+        oy[r], ox[r], flip[r], bright[r], con[r], gray[r] = _draws(
+            policy, derived_rng(seed, *key, *rows[r].tolist()))
+    return oy, ox, flip, bright, con, gray
+
+
 def two_views(
     batch_images: np.ndarray,
     policy: AugmentPolicy,
@@ -262,7 +300,7 @@ def two_views(
     labels: np.ndarray | None = None,
 ) -> ViewPair:
     """Two independent transform draws per image; image i of view v draws
-    from derived_rng(seed, *key, i, v).
+    what derived_rng(seed, *key, i, v) would.
 
     Each image is reflect-padded and cropped, flipped, scaled in
     brightness and contrast, made grayscale and clipped to [0, 1], as
@@ -274,13 +312,7 @@ def two_views(
     n, c, h, w = batch_images.shape
     if n % 2 != 0:
         raise BatchParityError(f"two_views: batch size {n} is odd")
-    if max(policy.pad, policy.hflip_p, policy.brightness, policy.contrast, policy.grayscale_p) > 0:
-        draws = [_draws(policy, derived_rng(seed, *key, i, v)) for v in (0, 1) for i in range(n)]
-    else:  # every transform is off: nothing to draw, so no generator to build
-        draws = [_draws(policy, None)] * (2 * n)
-    table = np.array(draws, dtype=np.float64).reshape(2 * n, 6)
-    oy, ox = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
-    flip, bright, con, gray = table[:, 2] > 0, table[:, 3], table[:, 4], table[:, 5] > 0
+    oy, ox, flip, bright, con, gray = _stack_draws(policy, seed, key, n)
     src = np.tile(np.arange(n), 2)
     p = policy.pad
     padded = np.pad(batch_images, ((0, 0), (0, 0), (p, p), (p, p)), mode="reflect") if p else batch_images

@@ -100,8 +100,9 @@ def apply_op(kind: str, inputs: Sequence[Tensor], out_data: Array, rule: Backwar
     """Record one operation on the tape shared by `inputs`, if any.
 
     `rule(upstream)` must return one gradient array per input, aligned with
-    `inputs`; slots for constant (off-tape) inputs are ignored.  Off-tape
-    inputs make this a plain value computation with no node appended.
+    `inputs`; slots for constant (off-tape) inputs are ignored, so a rule
+    may return None there.  Off-tape inputs make this a plain value
+    computation with no node appended.
     `check=False` is reserved for ops that only move finite values around.
     """
     # single-pass alarm: NaN/Inf always poison the sum; a non-finite sum of
@@ -158,8 +159,11 @@ def affine(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     xd, wd = x.data, w.data
     out = xd @ wd
     out += bias.data
-    return apply_op("affine", (x, w, bias), out,
-                    lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
+    if x.node is None:  # an off-tape input (the image batch) takes no gradient
+        rule = lambda g: (None, xd.T @ g, g.sum(axis=0))
+    else:
+        rule = lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0))
+    return apply_op("affine", (x, w, bias), out, rule)
 
 
 def backward(loss: Tensor) -> dict[int, Tensor]:

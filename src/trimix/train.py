@@ -20,12 +20,12 @@ from .data import (
     STREAM_SHUFFLE,
     Dataset,
     batches,
-    derived_rng,
     two_views,
 )
 from .errors import ArchMismatchError, ContractError, FormatError, NumericError
 from .model import Arch, ModelParams, Tensor, init_params
 from .objective import trimix_step_loss
+from .streams import as_random, raw_words
 from .tensor import Tape, backward
 
 CHECKPOINT_MAGIC = b"TMX1"
@@ -270,6 +270,16 @@ def write_metrics(path: str, rows: list[dict]) -> None:
             f.write(",".join(cells) + "\n")
 
 
+def _epoch_lambdas(cfg, epoch: int, steps: int) -> list[float]:
+    """Each step's mixing factor: `lambda_fixed`, or batch b's
+    derived_rng(seed, STREAM_LAMBDA, epoch, b).random(), computed for the
+    whole epoch from the streams' first words."""
+    if cfg.lambda_policy == "fixed":
+        return [float(cfg.lambda_fixed)] * steps
+    words = raw_words(cfg.seed, (STREAM_LAMBDA, epoch), np.arange(steps)[:, None], 1)
+    return as_random(words[:, 0]).tolist()
+
+
 def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoint | None = None):
     """Run the full pretraining loop; returns (checkpoint, metrics rows).
 
@@ -298,12 +308,12 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
         os.makedirs(out_dir, exist_ok=True)
 
     for epoch in range(start_epoch, cfg.epochs + 1):
+        lams = _epoch_lambdas(cfg, epoch, steps_per_epoch)
         for b_idx, indices in enumerate(batches(len(dataset), cfg.batch_size, cfg.seed, STREAM_SHUFFLE, epoch)):
             step = (epoch - 1) * steps_per_epoch + b_idx
             views = two_views(dataset.images[indices], policy, cfg.seed, STREAM_AUGMENT, epoch, b_idx,
                               labels=dataset.labels[indices])
-            lam = (float(cfg.lambda_fixed) if cfg.lambda_policy == "fixed"
-                   else derived_rng(cfg.seed, STREAM_LAMBDA, epoch, b_idx).random())
+            lam = lams[b_idx]
             tape = Tape()
             attached = params.attach(tape)
             try:

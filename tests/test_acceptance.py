@@ -3,6 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Criteria 1 and 5-7 carry runtime budgets and are measured.
 """
+import pathlib
+import re
 import struct
 import time
 
@@ -14,7 +16,7 @@ from trimix.cli import gradcheck, oracle_equivalence_reports, run
 from trimix.config import TriMixConfig
 from trimix.data import ViewPair, synthetic_blobs
 from trimix.errors import BatchParityError, FormatError
-from trimix.eval import extract_features, knn_eval
+from trimix.eval import config_digest, extract_features, knn_eval
 from trimix.model import forward, init_params
 from trimix.objective import ground_truth_matrix, loss_bt, trimix_step_loss
 from trimix.stats import cross_correlation, row_softmax, standardize
@@ -179,21 +181,43 @@ def default_run():
     return (cfg, *_desk_run(cfg), time.time() - start)
 
 
+def _untrained(cfg, train_ds):
+    arch = cfg.arch_for(train_ds.input_width)
+    init_only = init_params(arch, seed=cfg.seed)
+    return Checkpoint(arch=arch, params=init_only,
+                      adam=AdamState.for_params(init_only, cfg.lr, 0.0), epoch=0, seed=cfg.seed)
+
+
+def _epoch_mean_loss(rows, epoch):
+    return np.mean([r["total"] for r in rows if r["epoch"] == epoch])
+
+
+def test_reference_results_reproduce(default_run):
+    """The default run's numbers in reference/reference_results.txt, at the
+    precision printed there."""
+    cfg, train_ds, test_ds, ckpt, rows, _ = default_run
+    text = (pathlib.Path(__file__).resolve().parents[1] / "reference" / "reference_results.txt").read_text()
+
+    def printed(pattern):
+        return re.search(pattern, text).group(1)
+
+    assert config_digest(cfg.render()) == printed(r"default config digest: (\w+)")
+    assert f"{_knn_accuracy(ckpt, train_ds, test_ds, cfg.knn_k):.4f}" == printed(r"knn\(k=20\) trained\s*: ([\d.]+)")
+    untrained = _untrained(cfg, train_ds)
+    assert f"{_knn_accuracy(untrained, train_ds, test_ds, cfg.knn_k):.4f}" == printed(r"init-only\s*: ([\d.]+)")
+    assert f"{_epoch_mean_loss(rows, 1):.4f}" == printed(r"epoch 1 ([\d.]+) ->")
+    assert f"{_epoch_mean_loss(rows, cfg.epochs):.4f}" == printed(rf"-> epoch {cfg.epochs} ([\d.]+)")
+
+
 def test_criterion_6_desk_scale_learning_signal(default_run):
     cfg, train_ds, test_ds, ckpt, rows, run_s = default_run
     start = time.time()
     # 50 epochs, B=64, K=3 blobs 600/300 at 16x16
     assert cfg.epochs == 50 and cfg.synthetic_train == 600 and cfg.synthetic_test == 300
 
-    arch = cfg.arch_for(train_ds.input_width)
-    init_only = init_params(arch, seed=cfg.seed)
-    untrained = Checkpoint(arch=arch, params=init_only,
-                           adam=AdamState.for_params(init_only, cfg.lr, 0.0), epoch=0, seed=cfg.seed)
-
     trained_acc = _knn_accuracy(ckpt, train_ds, test_ds, cfg.knn_k)
-    untrained_acc = _knn_accuracy(untrained, train_ds, test_ds, cfg.knn_k)
-    first = np.mean([r["total"] for r in rows if r["epoch"] == 1])
-    last = np.mean([r["total"] for r in rows if r["epoch"] == cfg.epochs])
+    untrained_acc = _knn_accuracy(_untrained(cfg, train_ds), train_ds, test_ds, cfg.knn_k)
+    first, last = _epoch_mean_loss(rows, 1), _epoch_mean_loss(rows, cfg.epochs)
     elapsed = run_s + time.time() - start
 
     assert trained_acc >= 0.90, f"trained KNN {trained_acc:.3f}"

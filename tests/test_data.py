@@ -19,6 +19,7 @@ from trimix.data import (
 )
 from trimix.errors import BatchParityError, ContractError, FormatError
 from trimix.oracle import naive_two_views
+from trimix.streams import raw_words
 
 
 def write_idx_pair(tmp_path, images, labels, prefix="a"):
@@ -242,8 +243,28 @@ class TestTwoViewsAgainstOracle:
             assert imgs.tobytes() == before.tobytes(), policy
             assert not np.shares_memory(vp.x, imgs) and not np.shares_memory(vp.x_prime, imgs)
 
-    @pytest.mark.parametrize("policy, draws", [(AugmentPolicy.identity(), False), (AugmentPolicy(), True)])
-    def test_one_generator_per_image_and_view_unless_nothing_is_drawn(self, monkeypatch, policy, draws):
+    @staticmethod
+    def reject_row(monkeypatch, row):
+        """Zero the low half of `row`'s first stream word: its first crop
+        offset then leaves remainder 0, which Lemire's method rejects
+        whenever pad > 0, so numpy would draw again."""
+        def words(seed, prefix, rows, n):
+            out = raw_words(seed, prefix, rows, n)
+            out[row, 0] &= np.uint64(0xFFFFFFFF00000000)
+            return out
+
+        monkeypatch.setattr(data, "raw_words", words)
+
+    def test_rejected_draw_falls_back_to_the_generator(self, monkeypatch):
+        imgs = rng_for(50).uniform(-0.1, 1.2, size=(4, 3, 7, 9))
+        for case, policy in enumerate(p for p in POLICY_GRID if p.pad):
+            self.reject_row(monkeypatch, case % 8)
+            vp = two_views(imgs, policy, case, 5)
+            x, x_prime = naive_two_views(imgs, policy, case, 5)
+            assert vp.x.tobytes() == x.tobytes(), policy
+            assert vp.x_prime.tobytes() == x_prime.tobytes(), policy
+
+    def test_generator_built_only_for_a_rejected_row(self, monkeypatch):
         made = []
 
         def counting(seed, *key):
@@ -251,8 +272,13 @@ class TestTwoViewsAgainstOracle:
             return derived_rng(seed, *key)
 
         monkeypatch.setattr(data, "derived_rng", counting)
-        two_views(rng_for(49).uniform(0, 1, size=(6, 1, 8, 8)), policy, 3, 1, 2)
-        assert sorted(made) == ([(1, 2, i, v) for i in range(6) for v in (0, 1)] if draws else [])
+        imgs = rng_for(49).uniform(0, 1, size=(6, 1, 8, 8))
+        two_views(imgs, AugmentPolicy.identity(), 3, 1, 2)
+        two_views(imgs, AugmentPolicy(), 3, 1, 2)
+        assert made == []
+        self.reject_row(monkeypatch, 6 + 4)  # image 4 of view 1
+        two_views(imgs, AugmentPolicy(), 3, 1, 2)
+        assert made == [(1, 2, 4, 1)]
 
 
 class TestBatches:

@@ -25,6 +25,22 @@ class TestAffine:
         with pytest.raises(DimensionError, match="bias"):
             affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros(3)))
 
+    def test_off_tape_input_gets_no_gradient(self):
+        rng = rng_for(5)
+        x, w, b, g = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2), rng.normal(size=(4, 2))
+
+        def rule(x_on_tape):
+            tape = Tape()
+            xt = tape.leaf(Tensor(x)) if x_on_tape else Tensor(x)
+            out = affine(xt, tape.leaf(Tensor(w)), tape.leaf(Tensor(b)))
+            return tape.nodes[out.node].rule(g)
+
+        off, on = rule(False), rule(True)
+        assert off[0] is None
+        np.testing.assert_array_equal(on[0], g @ w.T)
+        for a, b_ in zip(off[1:], on[1:]):
+            assert a.tobytes() == b_.tobytes()
+
 
 class TestElementwise:
     def test_relu(self):
