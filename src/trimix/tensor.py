@@ -3,7 +3,8 @@
 The tape is define-by-run and rebuilt every training step: operations
 append nodes in execution order, so insertion order is already a
 topological order and the backward sweep is a single reverse pass that
-touches each node at most once.
+touches each node at most once.  A tape is swept once: the sweep drops
+each node's rule, and with it the arrays the rule saved, as it passes.
 
 Values are 64-bit throughout; every recorded operation checks its output
 for NaN/Inf and fails loudly instead of propagating poison.
@@ -77,15 +78,23 @@ class TapeNode:
 
 
 class Tape:
-    """Append-only operation record; one tape per training step, one thread."""
+    """Append-only operation record; one tape per training step, one thread.
+
+    `swept` is set by `backward`; a swept tape takes no new operations.
+    """
+
+    __slots__ = ("nodes", "swept")
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self.swept = False
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def _append(self, kind: str, parents: tuple, shape: tuple, rule: Optional[BackwardRule]) -> int:
+        if self.swept:
+            raise ContractError(f"operation '{kind}' recorded onto a tape that backward already swept")
         self.nodes.append(TapeNode(kind, parents, shape, rule))
         return len(self.nodes) - 1
 
@@ -170,30 +179,39 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
     """Reverse sweep from a scalar loss.
 
     Returns a map `leaf node id -> gradient tensor` covering every leaf on
-    the tape; leaves the loss does not depend on get zero gradients.
+    the tape; leaves the loss does not depend on get zero gradients.  The
+    sweep releases every node's rule and every non-leaf gradient as it
+    goes, so a tape is swept once: sweeping it again raises ContractError.
     """
     if loss.tape is None or loss.node is None:
         raise DetachedValueError("backward needs a loss recorded on a tape")
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {list(loss.shape)}")
     tape = loss.tape
-    grads: list[Optional[Array]] = [None] * (loss.node + 1)
+    if tape.swept:
+        raise ContractError("backward: this tape was already swept; record the loss again to sweep again")
+    tape.swept = True
+    nodes = tape.nodes
+    grads: list[Optional[Array]] = [None] * len(nodes)
     grads[loss.node] = np.ones_like(loss.data)
-    for nid in range(loss.node, -1, -1):
+    for nid in range(len(nodes) - 1, -1, -1):
+        node = nodes[nid]
+        rule = node.rule
+        if rule is None:  # a leaf: its gradient is the result
+            continue
+        node.rule = None
         g = grads[nid]
         if g is None:
             continue
-        node = tape.nodes[nid]
-        if node.rule is None:
-            continue
-        for pid, pg in zip(node.parents, node.rule(g)):
+        grads[nid] = None
+        for pid, pg in zip(node.parents, rule(g)):
             if pid is None:
                 continue
             grads[pid] = pg if grads[pid] is None else grads[pid] + pg
     out: dict[int, Tensor] = {}
-    for nid, node in enumerate(tape.nodes):
+    for nid, node in enumerate(nodes):
         if node.kind != "leaf":
             continue
-        g = grads[nid] if nid < len(grads) else None
+        g = grads[nid]
         out[nid] = Tensor(np.zeros(node.shape) if g is None else g)
     return out

@@ -6,7 +6,7 @@ straight-through run without serializing generator internals.
 """
 from __future__ import annotations
 
-import io
+import contextlib
 import json
 import math
 import os
@@ -58,27 +58,68 @@ class AdamState:
         )
 
 
-def adam_step(params: ModelParams, grads: list, state: AdamState) -> tuple[ModelParams, AdamState]:
-    """Classic bias-corrected Adam; weight decay is coupled (g += wd * theta)."""
-    tensors = params.tensors()
+# values per block temporary: three 64 KiB temporaries stay in cache
+_ADAM_BLOCK = 8192
+
+
+def _check_adam_inputs(tensors: list, grads: list, state: AdamState) -> None:
+    """Everything adam_step relies on, checked before anything is written."""
     if len(grads) != len(tensors):
         raise ContractError(f"adam_step: {len(grads)} gradients for {len(tensors)} parameters")
-    state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    for i, (p, g) in enumerate(zip(tensors, grads)):
-        if g.shape != p.data.shape:
+    if len(state.m) != len(tensors) or len(state.v) != len(tensors):
+        raise ContractError(
+            f"adam_step: {len(state.m)} first and {len(state.v)} second moments "
+            f"for {len(tensors)} parameters"
+        )
+    for i, (p, g, m, v) in enumerate(zip(tensors, grads, state.m, state.v)):
+        shape = p.data.shape
+        if g.shape != shape:
             raise ContractError(
                 f"adam_step: gradient shape {list(g.shape)} does not match parameter "
-                f"{list(p.data.shape)} at index {i}"
+                f"{list(shape)} at index {i}"
             )
-        if state.weight_decay:
-            g = g + state.weight_decay * p.data
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        for what, a in (("parameter", p.data), ("first moment", m), ("second moment", v)):
+            if a.shape != shape or a.dtype != np.float64 \
+                    or not (a.flags.c_contiguous and a.flags.writeable):
+                raise ContractError(
+                    f"adam_step: {what} at index {i} must be a writeable C-contiguous float64 "
+                    f"array of shape {list(shape)}"
+                )
+
+
+def adam_step(params: ModelParams, grads: list, state: AdamState) -> tuple[ModelParams, AdamState]:
+    """Classic bias-corrected Adam; weight decay is coupled (g += wd * theta).
+
+    Parameters and moments are updated in place, block by block, with the
+    per-element operations in the order of the whole-array formula, so the
+    results are the same bits.  The caller's gradients are only read.
+    """
+    tensors = params.tensors()
+    _check_adam_inputs(tensors, grads, state)
+    state.t += 1
+    b1, b2, wd, lr, eps = state.beta1, state.beta2, state.weight_decay, state.lr, state.eps
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    g_buf, a_buf, b_buf = (np.empty(_ADAM_BLOCK) for _ in range(3))
+    for p, g, m, v in zip(tensors, grads, state.m, state.v):
+        p, g, m, v = p.data.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for lo in range(0, p.size, _ADAM_BLOCK):
+            hi = lo + _ADAM_BLOCK
+            pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            n = pb.size
+            a, b = a_buf[:n], b_buf[:n]
+            if wd:
+                gb = np.add(gb, np.multiply(wd, pb, out=g_buf[:n]), out=g_buf[:n])
+            mb *= b1
+            mb += np.multiply(1.0 - b1, gb, out=a)
+            vb *= b2
+            vb += np.multiply(1.0 - b2, np.multiply(gb, gb, out=a), out=a)
+            np.divide(mb, bc1, out=a)
+            a *= lr
+            np.sqrt(np.divide(vb, bc2, out=b), out=b)
+            b += eps
+            a /= b
+            pb -= a
     return params, state
 
 
@@ -94,7 +135,12 @@ class Checkpoint:
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    """Magic, version, length-prefixed JSON metadata, then raw little-endian arrays."""
+    """Magic, version, length-prefixed JSON metadata, then raw little-endian arrays.
+
+    The arrays stream one by one into `path + ".tmp"`, which replaces `path`
+    only once complete; on any failure the temp file is removed and a
+    previous file at `path` is left as it was.
+    """
     if ckpt.dtype not in _DTYPES:
         raise ContractError(f"checkpoint dtype must be one of {sorted(_DTYPES)}, got {ckpt.dtype!r}")
     dt = _DTYPES[ckpt.dtype]
@@ -120,17 +166,20 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(meta).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
-    buf.write(len(blob).to_bytes(4, "little"))
-    buf.write(blob)
-    for _, a in arrays:
-        buf.write(np.ascontiguousarray(a, dtype=dt).tobytes())
     tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(buf.getvalue())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
+            f.write(len(blob).to_bytes(4, "little"))
+            f.write(blob)
+            for _, a in arrays:
+                f.write(memoryview(np.ascontiguousarray(a, dtype=dt)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _check_meta(path: str, meta) -> None:

@@ -139,7 +139,8 @@ def test_criterion_5_structural_invariants():
         tape = Tape()
         att = params.attach(tape)
         bd = trimix_step_loss(views, att, bt_cfg, rng_for(54, case).random())
-        grads_trimix = [backward(bd.loss)[t.node].data for t in att.tensors()]
+        grad_map = backward(bd.loss)
+        grads_trimix = [grad_map[t.node].data for t in att.tensors()]
 
         tape_b = Tape()
         att_b = params.attach(tape_b)

@@ -237,8 +237,8 @@ class TestStepLoss:
         attached = params.attach(tape)
         bd = trimix_step_loss(views, attached, cfg, rng_for(16).random())
         assert bd.total == bd.l_bt_inv + cfg.alpha * bd.l_bt_rr
-        grads_a = {i: g for i, g in enumerate(
-            backward(bd.loss)[t.node].data for t in attached.tensors())}
+        grad_map = backward(bd.loss)
+        grads_a = {i: grad_map[t.node].data for i, t in enumerate(attached.tensors())}
 
         from trimix.model import forward
 

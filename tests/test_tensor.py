@@ -135,6 +135,62 @@ class TestTapeInvariants:
             add(x, Tensor([[1.0, 1.0]]))
 
 
+def _sweep_keeping_rules(loss: Tensor) -> dict[int, np.ndarray]:
+    """A reference sweep that leaves every rule on the tape."""
+    grads = {loss.node: np.ones_like(loss.data)}
+    for nid in range(loss.node, -1, -1):
+        node = loss.tape.nodes[nid]
+        if nid not in grads or node.rule is None:
+            continue
+        for pid, pg in zip(node.parents, node.rule(grads[nid])):
+            if pid is not None:
+                grads[pid] = pg if pid not in grads else grads[pid] + pg
+    return {nid: grads.get(nid, np.zeros(node.shape))
+            for nid, node in enumerate(loss.tape.nodes) if node.kind == "leaf"}
+
+
+class TestSweptTape:
+    """A tape is swept once; the sweep drops each node's rule as it passes."""
+
+    _build = TestTapeInvariants._build
+
+    def test_second_backward_raises(self):
+        _, _, loss = self._build(Tape())
+        backward(loss)
+        with pytest.raises(ContractError, match="already swept"):
+            backward(loss)
+
+    def test_recording_onto_a_swept_tape_raises(self):
+        tape = Tape()
+        x, _, loss = self._build(tape)
+        backward(loss)
+        with pytest.raises(ContractError, match="swept"):
+            relu(x)
+        with pytest.raises(ContractError, match="swept"):
+            tape.leaf(Tensor([1.0]))
+        relu(Tensor(x.data))  # off-tape values still compute
+
+    def test_every_rule_is_released(self):
+        tape = Tape()
+        x, _, loss = self._build(tape)
+        relu(x)  # recorded after the loss: unreachable, still released
+        assert sum(node.rule is not None for node in tape.nodes) > 0
+        backward(loss)
+        assert all(node.rule is None for node in tape.nodes)
+
+    def test_leaf_gradients_match_the_retaining_sweep_bit_for_bit(self):
+        t1, t2 = Tape(), Tape()
+        _, _, l1 = self._build(t1)
+        _, _, l2 = self._build(t2)
+        unused = t2.leaf(Tensor(np.ones((2, 3))))
+        t1.leaf(Tensor(np.ones((2, 3))))
+        want = _sweep_keeping_rules(l1)
+        got = backward(l2)
+        assert set(got) == set(want) and unused.node in got
+        for nid, g in want.items():
+            assert got[nid].data.tobytes() == g.tobytes()
+
+
 def _away_from_kinks(a):
     return a + 0.2 * np.sign(a) + np.where(a == 0, 0.2, 0.0)
 

@@ -1,4 +1,7 @@
 """Optimizer, training loop determinism, and checkpoint persistence."""
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,11 @@ def tiny_cfg(**overrides) -> TriMixConfig:
     )
     base.update(overrides)
     return TriMixConfig(**base).validate()
+
+
+# the `pretrain_wide` benchmark arch: 784->512->256, then 256->256->128
+WIDE_ARCH = Arch(input_width=784, encoder=(512, 256), projector=(256, 256, 128))
+SMALL_ARCH = Arch(input_width=12, encoder=(6, 4), projector=(4, 4, 2))
 
 
 class TestAdam:
@@ -92,10 +100,85 @@ class TestAdam:
         with pytest.raises(ContractError, match="gradients"):
             adam_step(params, [np.zeros((1, 1))], state)
 
+    def test_rejected_step_writes_nothing(self):
+        params = init_params(SMALL_ARCH, seed=2)
+        state = AdamState.for_params(params, lr=0.01, weight_decay=1e-4)
+        rng = np.random.default_rng(3)
+        adam_step(params, [rng.normal(size=t.data.shape) for t in params.tensors()], state)
+        before = ([t.data.copy() for t in params.tensors()],
+                  [a.copy() for a in state.m], [a.copy() for a in state.v])
+        grads = [rng.normal(size=t.data.shape) for t in params.tensors()]
+        grads[-1] = np.zeros(grads[-1].size + 1)
+        with pytest.raises(ContractError, match=f"index {len(grads) - 1}"):
+            adam_step(params, grads, state)
+        assert state.t == 1
+        after = ([t.data for t in params.tensors()], state.m, state.v)
+        for old, new in zip(before, after):
+            assert all(np.array_equal(a, b) for a, b in zip(old, new))
+
+    @pytest.mark.parametrize("what", ["parameter", "first moment", "second moment"])
+    def test_arrays_a_flat_view_cannot_update_are_rejected(self, what):
+        params = init_params(SMALL_ARCH, seed=2)
+        state = AdamState.for_params(params, lr=0.01, weight_decay=0.0)
+        grads = [np.ones_like(t.data) for t in params.tensors()]
+        if what == "parameter":
+            w = params.encoder_layers[0][0]
+            w.data = np.asfortranarray(w.data)
+        else:
+            moments = state.m if what == "first moment" else state.v
+            moments[1].flags.writeable = False
+        with pytest.raises(ContractError, match=what):
+            adam_step(params, grads, state)
+        assert state.t == 0
+        assert all((t.data == t0.data).all() for t, t0 in
+                   zip(params.tensors(), init_params(SMALL_ARCH, seed=2).tensors()))
+
+    @pytest.mark.parametrize("weight_decay", [1e-3, 0.0])
+    def test_blocked_update_equals_whole_array_formula(self, weight_decay):
+        """Five steps on a parameter of 2.5 blocks match the whole-array
+        formula bit for bit, and the caller's gradients are left as given."""
+        size = train._ADAM_BLOCK * 5 // 2
+        arch = Arch(input_width=size // 4, encoder=(4,), projector=(3,))
+        params = init_params(arch, seed=5)
+        state = AdamState.for_params(params, lr=3e-3, weight_decay=weight_decay)
+        ref_p = [t.data.copy() for t in params.tensors()]
+        ref_m = [np.zeros_like(p) for p in ref_p]
+        ref_v = [np.zeros_like(p) for p in ref_p]
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        rng = np.random.default_rng(6)
+        for t in range(1, 6):
+            grads = [rng.normal(size=p.shape) for p in ref_p]
+            given = [g.copy() for g in grads]
+            adam_step(params, grads, state)
+            assert all(g.tobytes() == g0.tobytes() for g, g0 in zip(grads, given))
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for i, g in enumerate(given):
+                if weight_decay:
+                    g = g + weight_decay * ref_p[i]
+                ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (g * g)
+                ref_p[i] -= state.lr * (ref_m[i] / bc1) / (np.sqrt(ref_v[i] / bc2) + eps)
+            for got, want in zip((params.tensors(), state.m, state.v), (ref_p, ref_m, ref_v)):
+                for a, b in zip(got, want):
+                    a = getattr(a, "data", a)
+                    assert a.tobytes() == b.tobytes()
+        assert params.encoder_layers[0][0].data.size == size
+
+    def test_traced_peak_stays_under_a_megabyte(self):
+        params = init_params(WIDE_ARCH, seed=1)
+        state = AdamState.for_params(params, lr=1e-3, weight_decay=1e-6)
+        grads = [np.full_like(t.data, 0.5) for t in params.tensors()]
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"adam_step traced peak {peak / 1e6:.2f} MB"
+
 
 class TestCheckpoint:
-    def _checkpoint(self, dtype="f64", seed=3) -> Checkpoint:
-        arch = Arch(input_width=12, encoder=(6, 4), projector=(4, 4, 2))
+    def _checkpoint(self, dtype="f64", seed=3, arch=SMALL_ARCH) -> Checkpoint:
         params = init_params(arch, seed=seed)
         adam = AdamState.for_params(params, lr=1e-3, weight_decay=1e-6)
         adam.t = 17
@@ -139,6 +222,39 @@ class TestCheckpoint:
         open(path, "wb").write(raw[:-11])
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_streamed_save_traced_peak_stays_under_one_array(self, tmp_path, dtype):
+        ckpt = self._checkpoint(dtype, arch=WIDE_ARCH)
+        largest = max(t.data.nbytes for t in ckpt.params.tensors())
+        tracemalloc.start()
+        try:
+            save_checkpoint(str(tmp_path / "c.tmx"), ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest, f"save_checkpoint traced peak {peak / 1e6:.2f} MB"
+
+    def test_failed_save_leaves_no_temp_and_the_old_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "c.tmx")
+        save_checkpoint(path, self._checkpoint(seed=3))
+        old = open(path, "rb").read()
+        convert = np.ascontiguousarray
+        calls = []
+
+        def third_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise MemoryError("conversion failed")
+            return convert(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", third_fails)
+        with pytest.raises(MemoryError):
+            save_checkpoint(path, self._checkpoint(seed=4))
+        monkeypatch.undo()
+        assert len(calls) == 3
+        assert os.listdir(tmp_path) == ["c.tmx"]
+        assert open(path, "rb").read() == old
 
     def test_resume_with_wrong_arch_rejected(self, tmp_path):
         path = str(tmp_path / "c.tmx")
