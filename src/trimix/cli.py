@@ -61,18 +61,20 @@ def resolve_config(args) -> TriMixConfig:
     return cfg.validate()
 
 
-def load_datasets(cfg: TriMixConfig) -> tuple[data.Dataset, data.Dataset]:
+def load_split(cfg: TriMixConfig, split: str) -> data.Dataset:
+    """The "train" or "test" split of the configured dataset; a file path
+    the split needs and the config leaves unset is an error naming its key."""
     if cfg.dataset == "synthetic":
-        return (
-            data.synthetic_blobs(cfg.synthetic_spec("train")),
-            data.synthetic_blobs(cfg.synthetic_spec("test")),
-        )
+        return data.synthetic_blobs(cfg.synthetic_spec(split))
     if cfg.dataset == "idx":
-        return (
-            data.load_idx(cfg.idx_train_images, cfg.idx_train_labels),
-            data.load_idx(cfg.idx_test_images, cfg.idx_test_labels),
-        )
-    return data.load_csv(cfg.csv_train), data.load_csv(cfg.csv_test)
+        keys = (f"idx_{split}_images", f"idx_{split}_labels")
+    else:
+        keys = (f"csv_{split}",)
+    for key in keys:
+        if not getattr(cfg, key):
+            raise ContractError(f"dataset={cfg.dataset} needs {key} for the {split} split, but it is unset")
+    paths = [getattr(cfg, key) for key in keys]
+    return data.load_idx(*paths) if cfg.dataset == "idx" else data.load_csv(*paths)
 
 
 def write_snapshot(cfg: TriMixConfig, command: str) -> None:
@@ -108,10 +110,11 @@ def _probe_cfg(cfg: TriMixConfig) -> evaluation.ProbeConfig:
 
 def cmd_pretrain(args) -> int:
     """Like `_load_for_eval`, every input (a resume checkpoint and its arch
-    too) is checked before the snapshot is written."""
+    too) is checked before the snapshot is written.  Only the training
+    split is read."""
     cfg = resolve_config(args)
     resume = load_checkpoint(args.resume) if args.resume else None
-    train_ds, _ = load_datasets(cfg)
+    train_ds = load_split(cfg, "train")
     if resume is not None:
         check_resume_arch(resume, cfg.arch_for(train_ds.input_width))
     write_snapshot(cfg, "pretrain")
@@ -130,7 +133,7 @@ def _load_for_eval(args, command: str) -> tuple[TriMixConfig, Checkpoint, data.D
     then write the snapshot, so a bad input leaves no snapshot behind."""
     cfg = resolve_config(args)
     ckpt = load_checkpoint(args.checkpoint)
-    train_ds, test_ds = load_datasets(cfg)
+    train_ds, test_ds = load_split(cfg, "train"), load_split(cfg, "test")
     write_snapshot(cfg, command)
     return cfg, ckpt, train_ds, test_ds, evaluation.config_digest(cfg.render())
 

@@ -137,11 +137,12 @@ def _stack(x: Tensor, layers: list, activation: str) -> Tensor:
 
 def encode(x: Tensor, params: ModelParams) -> Tensor:
     """Encoder stack only: the representation Y of a flattened Bxin batch."""
-    if x.ndim != 2:
-        raise DimensionError(f"forward: expected a flattened Bxin batch, got shape {list(x.shape)}")
-    if x.shape[1] != params.arch.input_width:
+    shape = x.data.shape
+    if len(shape) != 2:
+        raise DimensionError(f"forward: expected a flattened Bxin batch, got shape {list(shape)}")
+    if shape[1] != params.arch.input_width:
         raise DimensionError(
-            f"forward: input width {x.shape[1]} does not match arch input {params.arch.input_width}"
+            f"forward: input width {shape[1]} does not match arch input {params.arch.input_width}"
         )
     return _stack(x, params.encoder_layers, params.arch.activation)
 

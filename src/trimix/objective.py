@@ -10,7 +10,6 @@ is a function of the views, the parameters and λ; the caller chooses λ.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,11 +35,11 @@ def mixup(x: Tensor, lam: float) -> Tensor:
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"mix factor must lie in [0, 1], got {lam}")
-    if x.shape[0] % 2 != 0:
-        raise BatchParityError(
-            f"mixup: batch size {x.shape[0]} is odd; the flip pairing needs an even batch"
-        )
     xd = x.data
+    if xd.shape[0] % 2 != 0:
+        raise BatchParityError(
+            f"mixup: batch size {xd.shape[0]} is odd; the flip pairing needs an even batch"
+        )
     out = lam * xd + (1.0 - lam) * xd[::-1]
 
     # the reversal permutation is symmetric, so the adjoint mixes the
@@ -63,8 +62,12 @@ def ground_truth_matrix(batch: int, lam: float) -> Tensor:
             f"ground_truth_matrix: batch size {batch} is odd; the center row would "
             "conflate a mixed sample with a pure one"
         )
-    eye = np.eye(batch)
-    return Tensor(lam * eye + (1.0 - lam) * np.fliplr(eye))
+    # the cells of lam * eye + (1 - lam) * fliplr(eye), written directly:
+    # an even batch keeps the two diagonals apart
+    gt = np.zeros((batch, batch))
+    gt.flat[::batch + 1] = lam
+    gt.flat[batch - 1:-1:batch - 1] = 1.0 - lam
+    return Tensor(gt)
 
 
 def loss_bt(c: Tensor) -> tuple[Tensor, Tensor]:
@@ -73,45 +76,44 @@ def loss_bt(c: Tensor) -> tuple[Tensor, Tensor]:
     Returns (sum_i (1 - C_ii)^2, sum_{i != j} C_ij^2); the caller weights
     and combines them.
     """
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DimensionError(f"loss_bt: expected a square matrix, got shape {list(c.shape)}")
     cd = c.data
+    if cd.ndim != 2 or cd.shape[0] != cd.shape[1]:
+        raise DimensionError(f"loss_bt: expected a square matrix, got shape {list(cd.shape)}")
     d = cd.shape[0]
-    diag = np.diagonal(cd).copy()
+    diag = cd.diagonal().copy()
     resid = 1.0 - diag
 
     def rule_inv(g):
         dc = np.zeros((d, d))
-        np.fill_diagonal(dc, -2.0 * resid * float(g.reshape(-1)[0]))
+        dc.flat[::d + 1] = -2.0 * resid * float(g.reshape(-1)[0])  # np.fill_diagonal's write
         return (dc,)
 
-    l_inv = apply_op("bt_invariance", (c,), np.array([(resid * resid).sum()]), rule_inv)
+    l_inv = apply_op("bt_invariance", (c,), np.array([np.add.reduce(resid * resid, axis=None)]), rule_inv)
 
     def rule_rr(g):
         dc = 2.0 * float(g.reshape(-1)[0]) * cd
-        np.fill_diagonal(dc, 0.0)
+        dc.flat[::d + 1] = 0.0
         return (dc,)
 
-    l_rr = apply_op(
-        "bt_redundancy", (c,), np.array([(cd * cd).sum() - (diag * diag).sum()]), rule_rr
-    )
+    off_diag = np.add.reduce(cd * cd, axis=None) - np.add.reduce(diag * diag, axis=None)
+    l_rr = apply_op("bt_redundancy", (c,), np.array([off_diag]), rule_rr)
     return l_inv, l_rr
 
 
 def mean_abs_diff(a: Tensor, b: Tensor, kind: str = "mean_abs_diff") -> Tensor:
     """Mean of |a - b| over all cells, as one tape node (L1 with mean
     reduction; subgradient 0 where the operands tie)."""
-    if a.shape != b.shape:
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
         raise DimensionError(
-            f"{kind}: shapes {list(a.shape)} and {list(b.shape)} do not match"
+            f"{kind}: shapes {list(ad.shape)} and {list(bd.shape)} do not match"
         )
-    diff = a.data - b.data
-    out = np.array([np.abs(diff).mean()])
-    sgn = np.sign(diff)
+    diff = ad - bd
     n = diff.size
+    out = np.array([np.add.reduce(np.abs(diff), axis=None) / n])  # ndarray.mean's arithmetic
 
     def rule(g):
-        scaled = (float(g.reshape(-1)[0]) / n) * sgn
+        scaled = (float(g.reshape(-1)[0]) / n) * np.sign(diff)
         return (scaled, -scaled)
 
     return apply_op(kind, (a, b), out, rule)
@@ -127,12 +129,21 @@ def loss_con(z_tilde: Tensor, z_vrt: Tensor) -> Tensor:
     return mean_abs_diff(z_tilde, z_vrt, kind="loss_con")
 
 
-@contextmanager
-def _term(name: str):
-    try:
-        yield
-    except NumericError as exc:
-        raise NumericError(f"{name}: {exc}") from exc
+class _term:
+    """Prefixes a NumericError raised in the block with the term's name."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, NumericError):
+            raise NumericError(f"{self.name}: {exc}") from exc
+        return False
 
 
 def _flatten_views(views) -> tuple[Tensor, Tensor]:
@@ -153,7 +164,7 @@ def trimix_step_loss(views, params: ModelParams, cfg, lam: float, trace: dict | 
     dict as `trace` captures intermediate arrays for verification.
     """
     x, xp = _flatten_views(views)
-    b = x.shape[0]
+    b = x.data.shape[0]
     if b % 2 != 0:
         raise BatchParityError(f"trimix step: batch size {b} is odd, need an even batch")
     norm = cfg.normalize_on

@@ -25,18 +25,23 @@ def standardize(z: Tensor, axis: str, allow_degenerate: bool = False) -> Tensor:
     """
     if axis not in _AXES:
         raise ContractError(f"standardize: axis must be 'batch' or 'feature', got {axis!r}")
-    if z.ndim != 2:
-        raise DimensionError(f"standardize: expected a BxD tensor, got shape {list(z.shape)}")
+    zd = z.data
+    if zd.ndim != 2:
+        raise DimensionError(f"standardize: expected a BxD tensor, got shape {list(zd.shape)}")
     ax = _AXES[axis]
-    if z.shape[ax] < 2:
+    n = zd.shape[ax]
+    if n < 2:
         raise ContractError(
-            f"standardize: reduced axis {axis!r} has length {z.shape[ax]}, need at least 2"
+            f"standardize: reduced axis {axis!r} has length {n}, need at least 2"
         )
-    mu = z.data.mean(axis=ax, keepdims=True)
-    centered = z.data - mu
-    std = np.sqrt((centered * centered).mean(axis=ax, keepdims=True))
-    degenerate = std < STD_FLOOR
-    if degenerate.any():
+    # each mean is ndarray.mean's own arithmetic: the sum, then one division
+    # by the count, so the results are its bits
+    centered = zd - np.add.reduce(zd, axis=ax, keepdims=True) / n
+    std = np.sqrt(np.add.reduce(centered * centered, axis=ax, keepdims=True) / n)
+    live = None  # 1.0 for slices whose std depends on the input, else 0.0
+    # (std < STD_FLOOR).any() in one reduction: fmin skips NaN as < does
+    if np.fmin.reduce(std, axis=None, initial=np.inf) < STD_FLOOR:
+        degenerate = std < STD_FLOOR
         if not allow_degenerate:
             idx = int(np.argmax(degenerate.reshape(-1)))
             slice_name = "feature" if axis == "batch" else "sample"
@@ -44,14 +49,14 @@ def standardize(z: Tensor, axis: str, allow_degenerate: bool = False) -> Tensor:
                 f"standardize: {slice_name} {idx} has standard deviation below {STD_FLOOR:g}"
             )
         std = np.where(degenerate, 1.0, std)
+        live = (~degenerate).astype(np.float64)
     y = centered / std
-    # live = slices whose std actually depends on the input (not substituted)
-    live = (~degenerate).astype(np.float64)
 
     def rule(g):
-        g_mean = g.mean(axis=ax, keepdims=True)
-        gy_mean = (g * y).mean(axis=ax, keepdims=True)
-        return ((g - g_mean - y * gy_mean * live) / std,)
+        gy = y * (np.add.reduce(g * y, axis=ax, keepdims=True) / n)
+        if live is not None:  # a product with live = 1.0 is exact, so it is skipped
+            gy *= live
+        return ((g - np.add.reduce(g, axis=ax, keepdims=True) / n - gy) / std,)
 
     return apply_op(f"standardize_{axis}", (z,), y, rule)
 
@@ -65,12 +70,12 @@ def cross_correlation(z: Tensor, z2: Tensor, mode: str) -> Tensor:
     Inputs are expected pre-standardized along the reduced direction; the
     result then matches the explicit-denominator normalized forms.
     """
-    if z.ndim != 2 or z2.ndim != 2 or z.shape != z2.shape:
-        raise DimensionError(
-            f"cross_correlation: need two equal BxD tensors, got {list(z.shape)} and {list(z2.shape)}"
-        )
-    b, d = z.shape
     zd, z2d = z.data, z2.data
+    if zd.ndim != 2 or zd.shape != z2d.shape:
+        raise DimensionError(
+            f"cross_correlation: need two equal BxD tensors, got {list(zd.shape)} and {list(z2d.shape)}"
+        )
+    b, d = zd.shape
     if mode == "features":
         out = zd.T @ z2d
         out /= b
@@ -94,15 +99,16 @@ def row_softmax(m: Tensor, tau: float) -> Tensor:
     """Temperature softmax over each row, computed with max-subtraction."""
     if tau <= 0:
         raise ContractError(f"row_softmax: temperature must be positive, got {tau}")
-    if m.ndim != 2:
-        raise DimensionError(f"row_softmax: expected a 2-D tensor, got shape {list(m.shape)}")
-    scaled = m.data / tau
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
+    md = m.data
+    if md.ndim != 2:
+        raise DimensionError(f"row_softmax: expected a 2-D tensor, got shape {list(md.shape)}")
+    scaled = md / tau
+    scaled = scaled - np.maximum.reduce(scaled, axis=1, keepdims=True)
     e = np.exp(scaled)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / np.add.reduce(e, axis=1, keepdims=True)
 
     def rule(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
+        dot = np.add.reduce(g * s, axis=1, keepdims=True)
         return ((s * (g - dot)) / tau,)
 
     return apply_op("row_softmax", (m,), s, rule)

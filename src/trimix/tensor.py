@@ -8,6 +8,10 @@ each node's rule, and with it the arrays the rule saved, as it passes.
 
 Values are 64-bit throughout; every recorded operation checks its output
 for NaN/Inf and fails loudly instead of propagating poison.
+
+An op pays for its math, its shape check, its finiteness check and, on a
+tape, one node.  State that only the backward pass reads is built inside
+the op's rule, so a value computed off the tape never builds it.
 """
 from __future__ import annotations
 
@@ -60,7 +64,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
+        return self.data.item()
 
     def __repr__(self) -> str:
         tag = f", node={self.node}" if self.node is not None else ""
@@ -111,7 +115,8 @@ def apply_op(kind: str, inputs: Sequence[Tensor], out_data: Array, rule: Backwar
     `rule(upstream)` must return one gradient array per input, aligned with
     `inputs`; slots for constant (off-tape) inputs are ignored, so a rule
     may return None there.  Off-tape inputs make this a plain value
-    computation with no node appended.
+    computation with no node appended, and the rule is never called, so a
+    rule builds whatever only the backward pass needs.
     `check=False` is reserved for ops that only move finite values around.
     """
     # single-pass alarm: NaN/Inf always poison the sum; a non-finite sum of
@@ -127,20 +132,15 @@ def apply_op(kind: str, inputs: Sequence[Tensor], out_data: Array, rule: Backwar
             tape = t.tape
     if tape is None:
         return Tensor(out_data)
-    parents = tuple(t.node for t in inputs)
-    node = tape._append(kind, parents, out_data.shape, rule)
+    node = tape._append(kind, tuple([t.node for t in inputs]), out_data.shape, rule)
     return Tensor(out_data, tape=tape, node=node)
 
 
-def _require_2d(kind: str, t: Tensor) -> None:
-    if t.ndim != 2:
-        raise DimensionError(f"{kind}: expected a 2-D tensor, got shape {list(t.shape)}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes {list(a.shape)} and {list(b.shape)} do not match")
-    return apply_op("add", (a, b), a.data + b.data, lambda g: (g, g))
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise DimensionError(f"add: shapes {list(ad.shape)} and {list(bd.shape)} do not match")
+    return apply_op("add", (a, b), ad + bd, lambda g: (g, g))
 
 
 def scalar_mul(t: Tensor, s: float) -> Tensor:
@@ -149,29 +149,32 @@ def scalar_mul(t: Tensor, s: float) -> Tensor:
 
 
 def relu(t: Tensor) -> Tensor:
-    mask = t.data > 0  # subgradient 0 at exactly 0
-    return apply_op("relu", (t,), np.maximum(t.data, 0.0), lambda g: (g * mask,), check=False)
+    out = np.maximum(t.data, 0.0)
+    # the mask from the output: out > 0 exactly where the input is, so the
+    # subgradient is 0 at 0.0 and -0.0 (and the next affine keeps out alive)
+    return apply_op("relu", (t,), out, lambda g: (g * (out > 0),), check=False)
 
 
 def affine(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Fused x @ w + bias: one tape node per layer."""
-    _require_2d("affine", x)
-    _require_2d("affine", w)
-    if x.shape[1] != w.shape[0]:
+    xd, wd, bd = x.data, w.data, bias.data
+    if xd.ndim != 2 or wd.ndim != 2:
+        bad = wd if xd.ndim == 2 else xd
+        raise DimensionError(f"affine: expected a 2-D tensor, got shape {list(bad.shape)}")
+    if xd.shape[1] != wd.shape[0]:
         raise DimensionError(
-            f"affine: inner dimensions disagree for shapes {list(x.shape)} x {list(w.shape)}"
+            f"affine: inner dimensions disagree for shapes {list(xd.shape)} x {list(wd.shape)}"
         )
-    if bias.ndim != 1 or bias.shape[0] != w.shape[1]:
+    if bd.ndim != 1 or bd.shape[0] != wd.shape[1]:
         raise DimensionError(
-            f"affine: bias shape {list(bias.shape)} does not fit weight {list(w.shape)}"
+            f"affine: bias shape {list(bd.shape)} does not fit weight {list(wd.shape)}"
         )
-    xd, wd = x.data, w.data
     out = xd @ wd
-    out += bias.data
+    out += bd
     if x.node is None:  # an off-tape input (the image batch) takes no gradient
-        rule = lambda g: (None, xd.T @ g, g.sum(axis=0))
+        rule = lambda g: (None, xd.T @ g, np.add.reduce(g, axis=0))
     else:
-        rule = lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0))
+        rule = lambda g: (g @ wd.T, xd.T @ g, np.add.reduce(g, axis=0))
     return apply_op("affine", (x, w, bias), out, rule)
 
 
@@ -193,6 +196,11 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
     tape.swept = True
     nodes = tape.nodes
     grads: list[Optional[Array]] = [None] * len(nodes)
+    # owned[i]: grads[i] is a sum this sweep allocated, so later
+    # contributions add into it; a first contribution is a rule's own
+    # array (add's rule hands one upstream array to both its inputs), so
+    # the second one makes a fresh sum and leaves it unwritten
+    owned = [False] * len(nodes)
     grads[loss.node] = np.ones_like(loss.data)
     for nid in range(len(nodes) - 1, -1, -1):
         node = nodes[nid]
@@ -207,7 +215,14 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
         for pid, pg in zip(node.parents, rule(g)):
             if pid is None:
                 continue
-            grads[pid] = pg if grads[pid] is None else grads[pid] + pg
+            acc = grads[pid]
+            if acc is None:
+                grads[pid] = pg
+            elif owned[pid]:
+                acc += pg
+            else:
+                grads[pid] = acc + pg
+                owned[pid] = True
     out: dict[int, Tensor] = {}
     for nid, node in enumerate(nodes):
         if node.kind != "leaf":

@@ -372,6 +372,7 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
                 raise NumericError(f"step {step} (epoch {epoch}): {exc}") from exc
             grads = [grad_map[t.node].data for t in attached.tensors()]
             adam_step(params, grads, adam)
+            del grad_map, grads  # not held through the next step's forward and backward
             rows.append(metrics_row(step, epoch, lam, bd))
         ckpt.epoch = epoch
         if out_dir is not None and cfg.save_every > 0 and epoch % cfg.save_every == 0:

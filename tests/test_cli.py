@@ -7,10 +7,14 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import trimix
+from trimix import data
 from trimix.cli import run
+from trimix.config import load_config
+from trimix.train import pretrain
 
 FAST_OVERRIDES = [
     "--set", "encoder_widths=12,8",
@@ -93,6 +97,65 @@ class TestPretrainCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and reason in err[0], err
         assert not out.exists()
+
+
+def write_idx(tmp_path, n=16, side=4):
+    """A random IDX image/label pair of n side x side images."""
+    imgs, lbls = str(tmp_path / "imgs.idx"), str(tmp_path / "lbls.idx")
+    with open(imgs, "wb") as f:
+        f.write(struct.pack(">IIII", 0x00000803, n, side, side))
+        f.write(np.random.default_rng(0).integers(0, 256, size=n * side * side, dtype=np.uint8).tobytes())
+    with open(lbls, "wb") as f:
+        f.write(struct.pack(">II", 0x00000801, n))
+        f.write(bytes(i % 3 for i in range(n)))
+    return imgs, lbls
+
+
+class TestDatasetSplits:
+    """pretrain reads only the training split; a path a command needs and
+    the config leaves unset is a one-line error naming its key."""
+
+    def test_pretrain_on_train_only_idx_files(self, tmp_path, capsys):
+        imgs, lbls = write_idx(tmp_path)
+        code = run(["pretrain", *FAST_OVERRIDES, "--set", "dataset=idx",
+                    "--set", f"idx_train_images={imgs}", "--set", f"idx_train_labels={lbls}",
+                    "--out", str(tmp_path / "run")])
+        assert code == 0, capsys.readouterr().err
+        assert os.path.exists(tmp_path / "run" / "checkpoint.tmx")
+
+    def test_knn_without_idx_test_images_names_the_key(self, tmp_path, capsys):
+        imgs, lbls = write_idx(tmp_path)
+        idx = ["--set", "dataset=idx", "--set", f"idx_train_images={imgs}",
+               "--set", f"idx_train_labels={lbls}", "--set", f"idx_test_labels={lbls}"]
+        assert run(["pretrain", *FAST_OVERRIDES, *idx, "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "knn"
+        code = run(["knn", *FAST_OVERRIDES, *idx, "--checkpoint", str(tmp_path / "run" / "checkpoint.tmx"),
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "idx_test_images" in err, err
+        assert not out.exists()
+
+    def test_pretrain_without_csv_train_names_the_key(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run(["pretrain", *FAST_OVERRIDES, "--set", "dataset=csv", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "csv_train" in err, err
+        assert not out.exists()
+
+    def test_synthetic_pretrain_builds_only_the_training_split(self, tmp_path, monkeypatch):
+        specs, build = [], data.synthetic_blobs
+        monkeypatch.setattr(data, "synthetic_blobs", lambda spec: specs.append(spec) or build(spec))
+        out = pretrain_once(tmp_path)
+        cfg = load_config(f"{out}/resolved_config_pretrain.txt")
+        assert specs == [cfg.synthetic_spec("train")]
+        # the same bytes as the library loop on the training split alone
+        lib = str(tmp_path / "lib")
+        pretrain(cfg, build(cfg.synthetic_spec("train")), out_dir=lib)
+        for name in ("metrics.csv", "checkpoint.tmx"):
+            assert open(f"{out}/{name}", "rb").read() == open(f"{lib}/{name}", "rb").read(), name
 
 
 class TestEvalCommands:

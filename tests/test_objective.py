@@ -101,6 +101,13 @@ class TestGroundTruthMatrix:
                 gt = ground_truth_matrix(b, lam).data
                 assert np.abs(gt.sum(axis=1) - 1.0).max() < 1e-12
 
+    def test_same_bytes_as_the_eye_formula(self):
+        for b in range(2, 65, 2):
+            for lam in (0.0, 1.0, float(rng_for(5, b).random())):
+                eye = np.eye(b)
+                want = lam * eye + (1.0 - lam) * np.fliplr(eye)
+                assert ground_truth_matrix(b, lam).data.tobytes() == want.tobytes(), (b, lam)
+
     def test_odd_batch_rejected(self):
         with pytest.raises(BatchParityError):
             ground_truth_matrix(5, 0.5)
@@ -186,7 +193,37 @@ class TestLossTerms:
             )
 
 
+class TestMeanAbsDiffExactness:
+    def test_value_and_gradient_match_the_mean_formula(self):
+        shapes = [(int(n), int(m)) for n, m in rng_for(33).integers(1, 40, size=(20, 2))]
+        shapes += [(8200, 2), (3, 3000)]  # more than 8,192 cells
+        for case, shape in enumerate(shapes):
+            rng = rng_for(34, case)
+            a, b = rng.normal(size=shape), rng.normal(size=shape)
+            b.reshape(-1)[::5] = a.reshape(-1)[::5]  # ties: subgradient 0
+            tape = Tape()
+            out = loss_con(tape.leaf(Tensor(a)), tape.leaf(Tensor(b)))
+            assert out.data.tobytes() == np.array([np.abs(a - b).mean()]).tobytes(), shape
+            da, db = tape.nodes[out.node].rule(np.array([0.7]))
+            want = (0.7 / a.size) * np.sign(a - b)
+            assert da.tobytes() == want.tobytes() and db.tobytes() == (-want).tobytes()
+
+
 class TestStepLoss:
+    @pytest.mark.parametrize("placement", ["ZZ", "YY", "ZY"])
+    @pytest.mark.parametrize("feature_norm", [True, False])
+    def test_off_tape_and_taped_totals_are_bit_equal(self, placement, feature_norm):
+        cfg = small_cfg(placement=placement, enable_feature_norm=feature_norm,
+                        encoder_widths=(16, 12), projector_widths=(12, 10))
+        params = init_params(cfg.arch_for(16), seed=13)
+        views = make_views(seed=13)
+        off = trimix_step_loss(views, params, cfg, 0.35)
+        on = trimix_step_loss(views, params.attach(Tape()), cfg, 0.35)
+        assert off.loss.tape is None and on.loss.tape is not None
+        for term in ("total", "l_bt_inv", "l_bt_rr", "l_vrt", "l_con"):
+            assert getattr(off, term) == getattr(on, term), term
+        assert off.loss.data.tobytes() == on.loss.data.tobytes()
+
     def test_breakdown_recombination_identity(self):
         cfg = small_cfg()
         params = init_params(cfg.arch_for(16), seed=1)

@@ -5,8 +5,8 @@ from conftest import contract, op_gradcheck, rng_for
 
 from trimix import oracle
 from trimix.errors import ContractError, DegenerateFeatureError, DimensionError
-from trimix.stats import cross_correlation, row_softmax, standardize
-from trimix.tensor import Tensor
+from trimix.stats import STD_FLOOR, cross_correlation, row_softmax, standardize
+from trimix.tensor import Tape, Tensor
 
 
 class TestStandardize:
@@ -164,3 +164,64 @@ class TestRowSoftmax:
                 [rng.normal(size=(b, b))],
                 seed_note=f"row_softmax case {case}",
             )
+
+
+def _mean_formula_standardize(z, ax, allow_degenerate):
+    """standardize and its gradient written with ndarray.mean, live mask
+    always applied: the reference the tape op must equal byte for byte."""
+    centered = z - z.mean(axis=ax, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=ax, keepdims=True))
+    degenerate = std < STD_FLOOR
+    assert allow_degenerate or not degenerate.any()
+    std = np.where(degenerate, 1.0, std)
+    y = centered / std
+    live = (~degenerate).astype(np.float64)
+
+    def grad(g):
+        return (g - g.mean(axis=ax, keepdims=True) - y * (g * y).mean(axis=ax, keepdims=True) * live) / std
+
+    return y, grad
+
+
+class TestExactness:
+    """The tape ops compute ndarray.mean/sum/max's arithmetic: same bytes."""
+
+    @pytest.mark.parametrize("axis", ["batch", "feature"])
+    def test_standardize_matches_the_mean_formula(self, axis):
+        ax = 0 if axis == "batch" else 1
+        shapes = [(int(n), int(m)) for n, m in rng_for(30).integers(2, 40, size=(20, 2))]
+        # a reduced slice of more than 8,192 values, on each axis
+        shapes += [(8200, 3), (3, 8200)] if axis == "batch" else [(3, 8200), (8200, 3)]
+        for case, shape in enumerate(shapes):
+            rng = rng_for(31, case)
+            z = rng.normal(size=shape) * rng.uniform(0.1, 10.0) + rng.normal()
+            degenerate = case % 4 == 3
+            if degenerate:  # one constant slice, substituted under allow_degenerate
+                idx = int(rng.integers(0, shape[1 - ax]))
+                if ax == 0:
+                    z[:, idx] = 2.5
+                else:
+                    z[idx, :] = 2.5
+            y_want, grad_want = _mean_formula_standardize(z, ax, degenerate)
+            tape = Tape()
+            out = standardize(tape.leaf(Tensor(z)), axis, allow_degenerate=degenerate)
+            assert out.data.tobytes() == y_want.tobytes(), (axis, shape)
+            g = rng.normal(size=shape)
+            (grad,) = tape.nodes[out.node].rule(g)
+            assert grad.tobytes() == grad_want(g).tobytes(), (axis, shape)
+
+    def test_row_softmax_matches_the_method_formula(self):
+        for case in range(20):
+            rng = rng_for(32, case)
+            b = int(rng.integers(2, 40))
+            m, tau = rng.normal(size=(b, b)) * 4.0, float(rng.uniform(0.1, 4.0))
+            scaled = m / tau
+            scaled = scaled - scaled.max(axis=1, keepdims=True)
+            e = np.exp(scaled)
+            s = e / e.sum(axis=1, keepdims=True)
+            tape = Tape()
+            out = row_softmax(tape.leaf(Tensor(m)), tau)
+            assert out.data.tobytes() == s.tobytes()
+            g = rng.normal(size=(b, b))
+            (grad,) = tape.nodes[out.node].rule(g)
+            assert grad.tobytes() == ((s * (g - (g * s).sum(axis=1, keepdims=True))) / tau).tobytes()

@@ -47,6 +47,12 @@ class TestElementwise:
         out = relu(Tensor([[-1.0, 0.0, 2.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 0.0, 2.0]])
 
+    def test_relu_gradient_is_zero_at_both_zeros(self):
+        tape = Tape()
+        out = relu(tape.leaf(Tensor([[0.0, -0.0, 1e-300, -1e-300, 2.0]])))
+        (grad,) = tape.nodes[out.node].rule(np.full((1, 5), 3.0))
+        np.testing.assert_array_equal(grad, [[0.0, 0.0, 3.0, 0.0, 3.0]])
+
     def test_binary_shape_mismatch(self):
         with pytest.raises(DimensionError):
             add(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
@@ -189,6 +195,48 @@ class TestSweptTape:
         assert set(got) == set(want) and unused.node in got
         for nid, g in want.items():
             assert got[nid].data.tobytes() == g.tobytes()
+
+
+class TestGradientAccumulation:
+    """backward adds a third and later contribution into the sum it made
+    for the second; a rule's own arrays are never written."""
+
+    def _build(self, tape):
+        rng = rng_for(8)
+        p = tape.leaf(Tensor(rng.normal(size=(3, 4))))
+        q = tape.leaf(Tensor(rng.normal(size=(3, 4))))
+        u, v = scalar_mul(p, 1.5), scalar_mul(q, -0.5)
+        # three adds read u and v; each hands its one upstream array to both
+        t1, t2, s = add(u, v), add(u, v), add(u, v)
+        loss = contract(add(add(s, scalar_mul(t1, 2.0)), scalar_mul(t2, -3.0)))
+        return (p, q), (t1, t2, s), loss
+
+    def test_leaf_gradients_match_the_reference_sweep_and_upstreams_stay_unwritten(self):
+        t1, t2 = Tape(), Tape()
+        _, _, l1 = self._build(t1)
+        leaves, adds, l2 = self._build(t2)
+        want = _sweep_keeping_rules(l1)
+        seen = []
+        for t in adds:
+            node = t2.nodes[t.node]
+
+            def spy(g, rule=node.rule):
+                seen.append((g, g.copy()))
+                return rule(g)
+            node.rule = spy
+        got = backward(l2)
+        assert len(seen) == 3
+        for g, snapshot in seen:
+            assert g.tobytes() == snapshot.tobytes()
+        for leaf in leaves:
+            assert got[leaf.node].data.tobytes() == want[leaf.node].tobytes()
+
+    def test_repeated_leaf_in_one_add(self):
+        tape = Tape()
+        x = tape.leaf(Tensor([[1.0, 2.0]]))
+        grads = backward(contract(add(add(x, x), x)))
+        r = np.random.default_rng(0).normal(size=(1, 2))
+        assert grads[x.node].data.tobytes() == (r + r + r).tobytes()
 
 
 def _away_from_kinks(a):

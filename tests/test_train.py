@@ -1,6 +1,7 @@
 """Optimizer, training loop determinism, and checkpoint persistence."""
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -342,6 +343,29 @@ class TestPretrain:
         line = open(path).read().splitlines()[1].split(",")
         assert float(line[2]) == 1 / 3
         assert float(line[5]) == value
+
+
+def test_step_gradients_are_released_before_the_next_step(monkeypatch):
+    """Step k's gradients are gone by the time step k+1's forward starts."""
+    refs, alive_at_start = [], []
+    orig_backward, orig_loss = train.backward, train.trimix_step_loss
+
+    def spy_backward(loss):
+        grad_map = orig_backward(loss)
+        refs.append([weakref.ref(t.data) for t in grad_map.values()])
+        return grad_map
+
+    def spy_loss(*args, **kwargs):
+        if refs:
+            alive_at_start.append(sum(r() is not None for r in refs[-1]))
+        return orig_loss(*args, **kwargs)
+
+    monkeypatch.setattr(train, "backward", spy_backward)
+    monkeypatch.setattr(train, "trimix_step_loss", spy_loss)
+    cfg = tiny_cfg(epochs=1)
+    _, rows = pretrain(cfg, synthetic_blobs(cfg.synthetic_spec("train")))
+    assert len(rows) == 6 and len(alive_at_start) == 5
+    assert alive_at_start == [0] * 5
 
 
 def test_benchmark_call_sites(monkeypatch):
