@@ -128,38 +128,38 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _load_for_eval(args, command: str) -> tuple[TriMixConfig, Checkpoint, data.Dataset, data.Dataset, str]:
-    """Resolve the config, load the checkpoint, then the datasets, and only
-    then write the snapshot, so a bad input leaves no snapshot behind."""
+def _load_for_eval(args, command: str, splits=("train", "test")) -> tuple[TriMixConfig, Checkpoint, list, str]:
+    """Resolve the config, load the checkpoint, then the datasets of the
+    `splits` the command reads, and only then write the snapshot, so a bad
+    input leaves no snapshot behind."""
     cfg = resolve_config(args)
     ckpt = load_checkpoint(args.checkpoint)
-    train_ds, test_ds = load_split(cfg, "train"), load_split(cfg, "test")
+    datasets = [load_split(cfg, split) for split in splits]
     write_snapshot(cfg, command)
-    return cfg, ckpt, train_ds, test_ds, evaluation.config_digest(cfg.render())
+    return cfg, ckpt, datasets, evaluation.config_digest(cfg.render())
 
 
 def cmd_knn(args) -> int:
-    cfg, ckpt, train_ds, test_ds, digest = _load_for_eval(args, "knn")
-    train_bank, test_bank = (evaluation.extract_features(ckpt, ds) for ds in (train_ds, test_ds))
+    cfg, ckpt, datasets, digest = _load_for_eval(args, "knn")
+    train_bank, test_bank = (evaluation.extract_features(ckpt, ds) for ds in datasets)
     return publish_report(cfg, evaluation.knn_eval(train_bank, test_bank, cfg.knn_k, digest))
 
 
 def cmd_probe(args) -> int:
-    cfg, ckpt, train_ds, test_ds, digest = _load_for_eval(args, "probe")
-    train_bank, test_bank = (evaluation.extract_features(ckpt, ds) for ds in (train_ds, test_ds))
+    cfg, ckpt, datasets, digest = _load_for_eval(args, "probe")
+    train_bank, test_bank = (evaluation.extract_features(ckpt, ds) for ds in datasets)
     return publish_report(cfg, evaluation.linear_probe(train_bank, test_bank, _probe_cfg(cfg), digest))
 
 
 def cmd_finetune(args) -> int:
-    cfg, ckpt, train_ds, test_ds, digest = _load_for_eval(args, "finetune")
+    cfg, ckpt, (train_ds, test_ds), digest = _load_for_eval(args, "finetune")
     return publish_report(cfg, evaluation.finetune_semi(
         ckpt, train_ds, test_ds, cfg.finetune_fraction, _probe_cfg(cfg), digest
     ))
 
 
 def cmd_export(args) -> int:
-    cfg, ckpt, train_ds, test_ds, _ = _load_for_eval(args, "export-embeddings")
-    ds = train_ds if args.split == "train" else test_ds
+    cfg, ckpt, (ds,), _ = _load_for_eval(args, "export-embeddings", (args.split,))
     bank = evaluation.extract_features(ckpt, ds, l2_normalize=False)
     path = os.path.join(cfg.out_dir, f"embeddings_{args.split}.csv")
     with open(path, "w") as f:

@@ -135,19 +135,29 @@ def _stack(x: Tensor, layers: list, activation: str) -> Tensor:
     return h
 
 
-def encode(x: Tensor, params: ModelParams) -> Tensor:
-    """Encoder stack only: the representation Y of a flattened Bxin batch."""
-    shape = x.data.shape
-    if len(shape) != 2:
-        raise DimensionError(f"forward: expected a flattened Bxin batch, got shape {list(shape)}")
-    if shape[1] != params.arch.input_width:
-        raise DimensionError(
-            f"forward: input width {shape[1]} does not match arch input {params.arch.input_width}"
-        )
+def encode(x, params: ModelParams) -> Tensor:
+    """Encoder stack only: the representation Y of a flattened Bxin batch.
+
+    `x` may also be a sequence of off-tape batches; they share one pass as
+    row blocks of one stacked Y, in order (see `tensor.affine`).
+    """
+    if isinstance(x, Tensor):
+        batches = (x,)
+    else:
+        x = batches = tuple(x)
+    for t in batches:
+        shape = t.data.shape
+        if len(shape) != 2:
+            raise DimensionError(f"forward: expected a flattened Bxin batch, got shape {list(shape)}")
+        if shape[1] != params.arch.input_width:
+            raise DimensionError(
+                f"forward: input width {shape[1]} does not match arch input {params.arch.input_width}"
+            )
     return _stack(x, params.encoder_layers, params.arch.activation)
 
 
-def forward(x: Tensor, params: ModelParams) -> ForwardResult:
-    """Run encoder then projector on a flattened Bxin batch."""
+def forward(x, params: ModelParams) -> ForwardResult:
+    """Run encoder then projector on a flattened Bxin batch, or on a
+    sequence of them stacked as row blocks."""
     y = encode(x, params)
     return ForwardResult(y=y, z=_stack(y, params.projector_layers, params.arch.activation))

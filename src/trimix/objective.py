@@ -1,8 +1,9 @@
 """The TriMix objective.
 
 One training step mixes a view with its row-reversed batch by the
-step's mixing factor λ, pushes the virtual batch through the network,
-and combines three terms: the redundancy-reduction loss on the feature
+step's mixing factor λ, pushes both views and this virtual batch through
+the network in one pass, as three row blocks of one stack, and combines
+three terms: the redundancy-reduction loss on the feature
 correlation matrix, the decomposition loss tying the sample-similarity
 matrix to its mixing ground truth, and the consistency loss tying
 virtual embeddings to the linear mix of the originals'.  The objective
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import BatchParityError, ContractError, DimensionError, NumericError
 from .model import ModelParams, forward
 from .stats import cross_correlation, row_softmax, standardize
-from .tensor import Tensor, add, apply_op, scalar_mul
+from .tensor import Tensor, add, apply_op, rows, scalar_mul
 
 
 @dataclass
@@ -170,29 +171,30 @@ def trimix_step_loss(views, params: ModelParams, cfg, lam: float, trace: dict | 
     norm = cfg.normalize_on
 
     with _term("forward"):
-        out = forward(x, params)
-        out_p = forward(xp, params)
+        # x, x' and the virtual batch share one pass as row blocks 0, 1, 2
+        x_vrt = mixup(x, lam)
+        out = forward((x, xp, x_vrt), params)
+        z, z_p, z_vrt = (rows(out.z, i * b, (i + 1) * b) for i in range(3))
+        if "Y" in cfg.placement:
+            y, y_vrt = rows(out.y, 0, b), rows(out.y, 2 * b, 3 * b)
 
     with _term("l_bt"):
-        zs = standardize(out.z, "batch", cfg.allow_degenerate) if norm else out.z
-        zs_p = standardize(out_p.z, "batch", cfg.allow_degenerate) if norm else out_p.z
+        zs = standardize(z, "batch", cfg.allow_degenerate) if norm else z
+        zs_p = standardize(z_p, "batch", cfg.allow_degenerate) if norm else z_p
         c = cross_correlation(zs, zs_p, "features")
         l_inv, l_rr = loss_bt(c)
         l_bt = add(l_inv, scalar_mul(l_rr, cfg.alpha))
 
-    with _term("virtual forward"):
-        x_vrt = mixup(x, lam)
-        out_vrt = forward(x_vrt, params)
-
     vrt_level, con_level = cfg.placement[0], cfg.placement[1]
+    bases = {"Z": zs}
 
     def base_for(level: str) -> Tensor:
-        if level == "Z":
-            return zs
-        return standardize(out.y, "batch", cfg.allow_degenerate) if norm else out.y
+        if level not in bases:  # Y, standardized once for both terms
+            bases[level] = standardize(y, "batch", cfg.allow_degenerate) if norm else y
+        return bases[level]
 
     def virtual_for(level: str) -> Tensor:
-        v = out_vrt.z if level == "Z" else out_vrt.y
+        v = z_vrt if level == "Z" else y_vrt
         if norm:
             v = standardize(v, "batch", cfg.allow_degenerate)
             if cfg.enable_feature_norm:

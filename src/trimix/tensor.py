@@ -12,10 +12,22 @@ for NaN/Inf and fails loudly instead of propagating poison.
 An op pays for its math, its shape check, its finiteness check and, on a
 tape, one node.  State that only the backward pass reads is built inside
 the op's rule, so a value computed off the tape never builds it.
+
+Several batches can share one pass through a stack of layers as row
+blocks of one tensor.  `affine` takes the first layer's off-tape batches
+as a sequence; its output remembers the block `bounds`, and `affine` and
+`relu` carry them on.  Each matrix product runs block by block, into the
+block's rows of one output: BLAS may round a row differently when the
+matrix around it has more rows, so this keeps the bytes of one pass per
+batch.  The bias add, ReLU, the finiteness check and the tape node are
+paid once for the stack.  Weight and bias gradients add last block
+first, the order a sweep adds them when each batch has its own nodes.
+`rows` splits a block back out.
 """
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,14 +56,19 @@ def as_array(values) -> Array:
 
 
 class Tensor:
-    """Row-major float64 array, optionally attached to a tape node."""
+    """Row-major float64 array, optionally attached to a tape node.
 
-    __slots__ = ("data", "tape", "node")
+    `bounds`, when set, are the row bounds (0, ..., rows) of the blocks
+    stacked in the array; an `affine` output is a stack of at least one.
+    """
+
+    __slots__ = ("data", "tape", "node", "bounds")
 
     def __init__(self, values, tape: Optional["Tape"] = None, node: Optional[int] = None):
         self.data = as_array(values)
         self.tape = tape
         self.node = node
+        self.bounds: Optional[tuple] = None
 
     @property
     def shape(self) -> tuple:
@@ -152,12 +169,32 @@ def relu(t: Tensor) -> Tensor:
     out = np.maximum(t.data, 0.0)
     # the mask from the output: out > 0 exactly where the input is, so the
     # subgradient is 0 at 0.0 and -0.0 (and the next affine keeps out alive)
-    return apply_op("relu", (t,), out, lambda g: (g * (out > 0),), check=False)
+    res = apply_op("relu", (t,), out, lambda g: (g * (out > 0),), check=False)
+    res.bounds = t.bounds
+    return res
 
 
-def affine(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """Fused x @ w + bias: one tape node per layer."""
-    xd, wd, bd = x.data, w.data, bias.data
+def rows(t: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows lo:hi of `t`, sharing its storage.
+
+    The rule writes the block's gradient into a -0.0-filled array of the
+    full shape: a + (-0.0) == a for every float a, +-0.0 included, so
+    the gradients of disjoint blocks of one tensor add up bit for bit.
+    """
+    td = t.data
+    if not 0 <= lo < hi <= td.shape[0]:
+        raise DimensionError(f"rows: bounds {lo}:{hi} do not fit shape {list(td.shape)}")
+    shape = td.shape
+
+    def rule(g):
+        full = np.full(shape, -0.0)
+        full[lo:hi] = g
+        return (full,)
+
+    return apply_op("rows", (t,), td[lo:hi], rule, check=False)
+
+
+def _check_affine(xd: Array, wd: Array, bd: Array) -> None:
     if xd.ndim != 2 or wd.ndim != 2:
         bad = wd if xd.ndim == 2 else xd
         raise DimensionError(f"affine: expected a 2-D tensor, got shape {list(bad.shape)}")
@@ -169,13 +206,63 @@ def affine(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(
             f"affine: bias shape {list(bd.shape)} does not fit weight {list(wd.shape)}"
         )
-    out = xd @ wd
-    out += bd
-    if x.node is None:  # an off-tape input (the image batch) takes no gradient
-        rule = lambda g: (None, xd.T @ g, np.add.reduce(g, axis=0))
+
+
+def _blockwise(blocks: list, bounds: tuple, wd: Array, g: Array, dx: bool) -> tuple:
+    """The rule of an affine node: each row block's products on their own,
+    so the result is the bytes of one node per block.  Weight and bias
+    gradients add last block first, ((G_n + G_n-1) + ...) + G_1, with one
+    weight-shaped temporary."""
+    gx = np.empty((g.shape[0], wd.shape[0])) if dx else None
+    gw = gb = tmp = None
+    for i in range(len(blocks) - 1, -1, -1):
+        lo, hi = bounds[i], bounds[i + 1]
+        gi = g[lo:hi]
+        if dx:
+            np.matmul(gi, wd.T, out=gx[lo:hi])
+        if gw is None:
+            gw = blocks[i].T @ gi
+            gb = np.add.reduce(gi, axis=0)
+            continue
+        if tmp is None:
+            tmp = np.empty_like(gw)
+        np.matmul(blocks[i].T, gi, out=tmp)
+        gw += tmp
+        gb += np.add.reduce(gi, axis=0)
+    return gx, gw, gb
+
+
+def affine(x, w: Tensor, bias: Tensor) -> Tensor:
+    """Fused x @ w + bias: one tape node per layer.
+
+    `x` is a tensor, stacked or not, or a sequence of off-tape row blocks
+    that the output stacks without copying them into one input.
+    """
+    wd, bd = w.data, bias.data
+    if isinstance(x, Tensor):
+        xd = x.data
+        _check_affine(xd, wd, bd)
+        bounds = x.bounds or (0, xd.shape[0])
+        blocks = [xd[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     else:
-        rule = lambda g: (g @ wd.T, xd.T @ g, np.add.reduce(g, axis=0))
-    return apply_op("affine", (x, w, bias), out, rule)
+        x = tuple(x)
+        if not x:
+            raise ContractError("affine: needs at least one row block")
+        blocks = [t.data for t in x]
+        for t, xb in zip(x, blocks):
+            if t.node is not None:
+                raise ContractError("affine: row blocks must be off the tape")
+            _check_affine(xb, wd, bd)
+        bounds = tuple(accumulate((xb.shape[0] for xb in blocks), initial=0))
+        x = x[0]  # stands for the off-tape input among the node's parents
+    out = np.empty((bounds[-1], wd.shape[1]))
+    for lo, hi, xb in zip(bounds, bounds[1:], blocks):
+        np.matmul(xb, wd, out=out[lo:hi])
+    out += bd
+    dx = x.node is not None  # an off-tape input (the image batch) takes no gradient
+    res = apply_op("affine", (x, w, bias), out, lambda g: _blockwise(blocks, bounds, wd, g, dx))
+    res.bounds = bounds
+    return res
 
 
 def backward(loss: Tensor) -> dict[int, Tensor]:

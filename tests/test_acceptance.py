@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Criteria 1 and 5-7 carry runtime budgets and are measured.
 """
+import hashlib
 import pathlib
 import re
 import struct
@@ -21,7 +22,7 @@ from trimix.model import forward, init_params
 from trimix.objective import ground_truth_matrix, loss_bt, trimix_step_loss
 from trimix.stats import cross_correlation, row_softmax, standardize
 from trimix.tensor import Tape, Tensor, add, backward, scalar_mul
-from trimix.train import AdamState, Checkpoint, load_checkpoint, pretrain, save_checkpoint
+from trimix.train import AdamState, Checkpoint, load_checkpoint, pretrain, save_checkpoint, write_metrics
 
 
 def announce(num: int, name: str, detail: str) -> None:
@@ -208,6 +209,21 @@ def test_reference_results_reproduce(default_run):
     assert f"{_knn_accuracy(untrained, train_ds, test_ds, cfg.knn_k):.4f}" == printed(r"init-only\s*: ([\d.]+)")
     assert f"{_epoch_mean_loss(rows, 1):.4f}" == printed(r"epoch 1 ([\d.]+) ->")
     assert f"{_epoch_mean_loss(rows, cfg.epochs):.4f}" == printed(rf"-> epoch {cfg.epochs} ([\d.]+)")
+
+
+# sha256 of the default run's metrics.csv bytes, final parameters and Adam
+# moments; the bytes depend on numpy and the BLAS build (numpy 2.4.6 with
+# OpenBLAS 0.3.31 here), so a new library may need a new pin
+DEFAULT_RUN_SHA256 = "f50d0df7ac455bfb7e0f4e404d72943ef46ab57e5cbc9175027ed68e83ada68f"
+
+
+def test_default_run_bytes_are_pinned(default_run, tmp_path):
+    _, _, _, ckpt, rows, _ = default_run
+    write_metrics(str(tmp_path / "metrics.csv"), rows)
+    h = hashlib.sha256((tmp_path / "metrics.csv").read_bytes())
+    for a in [t.data for t in ckpt.params.tensors()] + ckpt.adam.m + ckpt.adam.v:
+        h.update(a.tobytes())
+    assert h.hexdigest() == DEFAULT_RUN_SHA256
 
 
 def test_criterion_6_desk_scale_learning_signal(default_run):

@@ -137,6 +137,30 @@ class TestDatasetSplits:
         assert err.startswith("error: ") and err.count("\n") == 1 and "idx_test_images" in err, err
         assert not out.exists()
 
+    def test_export_reads_only_its_split(self, tmp_path, capsys):
+        imgs, lbls = write_idx(tmp_path)
+        idx = ["--set", "dataset=idx", "--set", f"idx_train_images={imgs}", "--set", f"idx_train_labels={lbls}"]
+        assert run(["pretrain", *FAST_OVERRIDES, *idx, "--out", str(tmp_path / "run")]) == 0
+        ckpt = str(tmp_path / "run" / "checkpoint.tmx")
+        capsys.readouterr()
+        code = run(["export-embeddings", *FAST_OVERRIDES, *idx, "--checkpoint", ckpt, "--split", "train",
+                    "--out", str(tmp_path / "train")])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "train" / "embeddings_train.csv").exists()
+        capsys.readouterr()
+        out = tmp_path / "test"
+        code = run(["export-embeddings", *FAST_OVERRIDES, *idx, "--checkpoint", ckpt, "--split", "test",
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "idx_test_images" in err, err
+        assert not out.exists()
+        # the evaluation protocols read both splits
+        for command in ("knn", "probe", "finetune"):
+            code = run([command, *FAST_OVERRIDES, *idx, "--checkpoint", ckpt, "--out", str(out)])
+            assert code == 1
+            assert "idx_test_images" in capsys.readouterr().err
+
     def test_pretrain_without_csv_train_names_the_key(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run(["pretrain", *FAST_OVERRIDES, "--set", "dataset=csv", "--out", str(out)])

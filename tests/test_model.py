@@ -1,8 +1,14 @@
 """Encoder/projector stack: init statistics, forward semantics, purity."""
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import contract, rng_for
 
+import trimix
 from trimix import oracle
 from trimix.errors import ContractError, DimensionError
 from trimix.model import Arch, ModelParams, encode, forward, init_params
@@ -155,3 +161,64 @@ def test_model_params_copy_is_deep():
     clone.encoder_layers[0][0].data[0, 0] = -999.0
     assert params.encoder_layers[0][0].data[0, 0] != -999.0
     assert isinstance(clone, ModelParams)
+
+
+# Runs in a fresh interpreter so the BLAS thread count is set before numpy
+# loads.  Prints one line per output that differs; silent when all hold.
+_STACKED_PASS = r"""
+import numpy as np
+from trimix.model import Arch, forward, init_params
+from trimix.tensor import Tape, Tensor, add, apply_op, backward, rows
+
+ARCHS = {  # input width, encoder, projector
+    "default": (256, (128, 64), (64, 64, 32)),  # the shipped config, 16x16 inputs
+    "pretrain_wide": (784, (512, 256), (256, 256, 128)),
+    "gradcheck_small": (256, (16, 8), (8, 8, 8)),
+    # OpenBLAS 0.3.31 rounds rows of a 512x512 product at B=2 differently
+    # inside a 6-row stack
+    "narrow_head": (784, (512, 512), (3,)),
+}
+
+
+def contract(t, r):
+    return apply_op("contract", (t,), np.array([float((t.data * r).sum())]),
+                    lambda g: (float(g[0]) * r,))
+
+
+for name, (width, enc, proj) in ARCHS.items():
+    params = init_params(Arch(width, enc, proj), seed=0)
+    for b in (2, 8, 64, 256):
+        rng = np.random.default_rng(b)
+        xs = [Tensor(rng.uniform(size=(b, width))) for _ in range(3)]
+        rs = [rng.normal(size=(b, proj[-1])) for _ in range(3)]
+        runs = []
+        for stacked in (False, True):
+            tape = Tape()
+            attached = params.attach(tape)
+            if stacked:
+                z = forward(xs, attached).z
+                zs = [rows(z, lo, lo + b) for lo in range(0, 3 * b, b)]
+            else:
+                zs = [forward(x, attached).z for x in xs]
+            s0, s1, s2 = (contract(zi, r) for zi, r in zip(zs, rs))
+            grads = backward(add(add(s0, s1), s2))
+            runs.append([zi.data for zi in zs] + [grads[t.node].data for t in attached.tensors()])
+        for i, (a, c) in enumerate(zip(*runs)):
+            if a.shape != c.shape or a.tobytes() != c.tobytes():
+                print(f"{name} B={b}: output {i} differs")
+"""
+
+
+class TestStackedPass:
+    """One stacked pass of three batches, split by `rows`, gives the bytes
+    of one pass per batch: embeddings and every parameter gradient."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bit_identical_to_one_pass_per_batch(self, threads):
+        src = str(pathlib.Path(trimix.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _STACKED_PASS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "", f"OPENBLAS_NUM_THREADS={threads}:\n{done.stdout}"

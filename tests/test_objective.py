@@ -318,6 +318,26 @@ class TestStepLoss:
         assert totals["ZZ"] != totals["YY"]
         assert totals["ZZ"] != totals["ZY"]
 
+    @pytest.mark.parametrize("placement, split, std_batch", [("ZZ", 3, 3), ("YY", 5, 4), ("ZY", 5, 5)])
+    def test_one_pass_records_each_layer_once(self, placement, split, std_batch):
+        # rows splits Z into 3 blocks, and Y into x's and the virtual block
+        # where the placement reads Y; YY standardizes x's Y once for both
+        # terms, ZY reads five distinct blocks
+        cfg = small_cfg(placement=placement, encoder_widths=(16, 12), projector_widths=(12, 10))
+        tape = Tape()
+        trimix_step_loss(make_views(seed=14), init_params(cfg.arch_for(16), seed=14).attach(tape), cfg, 0.3)
+        kinds = [n.kind for n in tape.nodes]
+        assert kinds.count("affine") == 4 and kinds.count("relu") == 2
+        assert kinds.count("rows") == split
+        assert kinds.count("standardize_batch") == std_batch
+
+    @pytest.mark.parametrize("placement", ["YY", "ZY"])
+    def test_y_placements_pass_gradcheck(self, placement):
+        from trimix.cli import GRADCHECK_TOLERANCE, gradcheck
+
+        cfg = TriMixConfig(encoder_widths=(12, 8), projector_widths=(8, 8, 6), placement=placement).validate()
+        assert gradcheck(cfg, batch=8, side=8) < GRADCHECK_TOLERANCE
+
     def test_feature_norm_toggle_changes_virtual_normalization(self):
         views = make_views(seed=10)
         cfg_on = small_cfg()

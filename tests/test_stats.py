@@ -183,6 +183,29 @@ def _mean_formula_standardize(z, ax, allow_degenerate):
     return y, grad
 
 
+class TestSoftmaxMassBound:
+    """On correlations in [-1, 1], no cell of a row_softmax(m, tau) row can
+    hold more than e^(1/tau) / (e^(1/tau) + (B-1) e^(-1/tau)) of its mass;
+    the ground truth asks for lambda and 1 - lambda."""
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("b", [8, 64])
+    def test_bound_holds_and_is_reached(self, tau, b):
+        bound = np.exp(1 / tau) / (np.exp(1 / tau) + (b - 1) * np.exp(-1 / tau))
+        rng = rng_for(70, b)
+        for _ in range(20):
+            z = standardize(Tensor(rng.normal(size=(b, 16)) * rng.uniform(0.1, 10.0)), "feature")
+            z2 = standardize(Tensor(rng.normal(size=(b, 16))), "feature")
+            m = cross_correlation(z, z2, "samples").data
+            assert np.abs(m).max() <= 1.0 + 1e-12
+            assert row_softmax(Tensor(m), tau).data.max() <= bound * (1 + 1e-12)
+        # +1 on the diagonal, -1 elsewhere: every diagonal cell at the bound
+        extreme = row_softmax(Tensor(2.0 * np.eye(b) - 1.0), tau).data
+        np.testing.assert_allclose(extreme.diagonal(), bound, rtol=1e-12)
+        if tau == 2.0 and b == 64:
+            assert 0.040 < bound < 0.042  # the default run's 4.1%
+
+
 class TestExactness:
     """The tape ops compute ndarray.mean/sum/max's arithmetic: same bytes."""
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import contract, op_gradcheck, rng_for
 
 from trimix.errors import ContractError, DetachedValueError, DimensionError, NumericError
-from trimix.tensor import Tape, Tensor, add, affine, backward, relu, scalar_mul
+from trimix.tensor import Tape, Tensor, add, affine, apply_op, backward, relu, rows, scalar_mul
 
 
 class TestAffine:
@@ -40,6 +40,83 @@ class TestAffine:
         np.testing.assert_array_equal(on[0], g @ w.T)
         for a, b_ in zip(off[1:], on[1:]):
             assert a.tobytes() == b_.tobytes()
+
+
+class TestRowBlocks:
+    """A sequence of off-tape batches through `affine`, split by `rows`."""
+
+    def _blocks(self, seed, sizes=(4, 4, 4), din=3, dout=2):
+        rng = rng_for(seed)
+        xs = [Tensor(rng.normal(size=(n, din))) for n in sizes]
+        return xs, rng.normal(size=(din, dout)), rng.normal(size=dout)
+
+    def test_stacked_output_is_the_blocks_outputs(self):
+        xs, w, b = self._blocks(20, sizes=(2, 4, 2))
+        out = affine(xs, Tensor(w), Tensor(b))
+        assert out.bounds == (0, 2, 6, 8)
+        expected = np.concatenate([affine(x, Tensor(w), Tensor(b)).data for x in xs])
+        assert out.data.tobytes() == expected.tobytes()
+        assert relu(out).bounds == out.bounds
+
+    def test_one_node_whose_gradients_add_last_block_first(self):
+        xs, w, b = self._blocks(21)
+        g = rng_for(22).normal(size=(12, 2))
+        tape = Tape()
+        out = affine(xs, tape.leaf(Tensor(w)), tape.leaf(Tensor(b)))
+        assert [n.kind for n in tape.nodes] == ["leaf", "leaf", "affine"]
+        assert tape.nodes[out.node].parents == (None, 0, 1)
+        gx, gw, gb = tape.nodes[out.node].rule(g)
+        assert gx is None
+        per = [(x.data.T @ g[i:i + 4], np.add.reduce(g[i:i + 4], axis=0)) for x, i in zip(xs, (0, 4, 8))]
+        assert gw.tobytes() == ((per[2][0] + per[1][0]) + per[0][0]).tobytes()
+        assert gb.tobytes() == ((per[2][1] + per[1][1]) + per[0][1]).tobytes()
+
+    def test_stacked_input_gradient_is_per_block(self):
+        xs, w, b = self._blocks(23, dout=3)
+        w2 = rng_for(24).normal(size=(3, 2))
+        g = rng_for(25).normal(size=(12, 2))
+        tape = Tape()
+        h = affine(xs, Tensor(w), Tensor(b))
+        hl = tape.leaf(h)
+        hl.bounds = h.bounds
+        out = affine(hl, tape.leaf(Tensor(w2)), tape.leaf(Tensor(np.zeros(2))))
+        gx, _, _ = tape.nodes[out.node].rule(g)
+        expected = np.concatenate([g[i:i + 4] @ w2.T for i in (0, 4, 8)])
+        assert gx.tobytes() == expected.tobytes()
+
+    def test_blocks_must_be_off_tape_and_fit(self):
+        xs, w, b = self._blocks(26)
+        tape = Tape()
+        with pytest.raises(ContractError, match="off the tape"):
+            affine([xs[0], tape.leaf(xs[1])], Tensor(w), Tensor(b))
+        with pytest.raises(ContractError, match="at least one"):
+            affine([], Tensor(w), Tensor(b))
+        with pytest.raises(DimensionError, match="inner dimensions"):
+            affine([xs[0], Tensor(np.ones((4, 5)))], Tensor(w), Tensor(b))
+
+    def test_rows_shares_storage_and_checks_bounds(self):
+        t = Tensor(np.arange(12.0).reshape(6, 2))
+        r = rows(t, 2, 4)
+        assert np.shares_memory(r.data, t.data)
+        np.testing.assert_array_equal(r.data, [[4.0, 5.0], [6.0, 7.0]])
+        for lo, hi in ((0, 0), (4, 2), (-1, 2), (5, 7)):
+            with pytest.raises(DimensionError, match="rows"):
+                rows(t, lo, hi)
+
+    def test_split_gradients_reassemble_bit_for_bit(self):
+        # signed zeros included: the -0.0 fill adds exactly to every value
+        tape = Tape()
+        t = tape.leaf(Tensor(np.zeros((6, 2))))
+        ups = [np.array([[-0.0, 1.5], [0.0, -2.0]]), np.array([[0.0, -0.0], [3.0, -0.0]]),
+               np.array([[1e-300, -1e-300], [-0.0, 0.0]])]
+        parts = []
+        for i, r in enumerate(ups):
+            blk = rows(t, 2 * i, 2 * i + 2)
+            # <blk, r>; the unit upstream times r keeps the signs of zeros
+            parts.append(apply_op("linear", (blk,), np.array([float((blk.data * r).sum())]),
+                                  lambda g, r=r: (float(g[0]) * r,)))
+        grad = backward(add(add(parts[0], parts[1]), parts[2]))[t.node].data
+        assert grad.tobytes() == np.concatenate(ups).tobytes()
 
 
 class TestElementwise:
