@@ -85,8 +85,10 @@ def write_snapshot(cfg: TriMixConfig, command: str) -> None:
         f.write(cfg.render())
 
 
-def publish_report(cfg: TriMixConfig, report: evaluation.EvalReport) -> int:
-    """Append the report to reports.csv and print it; returns exit code 0."""
+def publish_report(cfg: TriMixConfig, command: str, report: evaluation.EvalReport) -> int:
+    """Write the command's snapshot, append the report to reports.csv and
+    print it; returns exit code 0."""
+    write_snapshot(cfg, command)
     path = os.path.join(cfg.out_dir, "reports.csv")
     fresh = not os.path.exists(path)
     with open(path, "a") as f:
@@ -109,14 +111,16 @@ def _probe_cfg(cfg: TriMixConfig) -> evaluation.ProbeConfig:
 
 
 def cmd_pretrain(args) -> int:
-    """Like `_load_for_eval`, every input (a resume checkpoint and its arch
-    too) is checked before the snapshot is written.  Only the training
-    split is read."""
+    """Every input (a resume checkpoint and its arch, the batch size
+    against the training split) is checked before the snapshot is
+    written, and the snapshot before training, so a run that fails
+    mid-way keeps its provenance.  Only the training split is read."""
     cfg = resolve_config(args)
     resume = load_checkpoint(args.resume) if args.resume else None
     train_ds = load_split(cfg, "train")
     if resume is not None:
         check_resume_arch(resume, cfg.arch_for(train_ds.input_width))
+    data.batches(len(train_ds), cfg.batch_size, cfg.seed)  # raises if the batch size does not fit
     write_snapshot(cfg, "pretrain")
     ckpt, rows = pretrain(cfg, train_ds, out_dir=cfg.out_dir, resume=resume)
     last = rows[-1] if rows else None
@@ -128,39 +132,39 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _load_for_eval(args, command: str, splits=("train", "test")) -> tuple[TriMixConfig, Checkpoint, list, str]:
+def _load_for_eval(args, splits=("train", "test")) -> tuple[TriMixConfig, Checkpoint, list, str]:
     """Resolve the config, load the checkpoint, then the datasets of the
-    `splits` the command reads, and only then write the snapshot, so a bad
-    input leaves no snapshot behind."""
+    `splits` the command reads.  The command writes its snapshot only once
+    its work has succeeded, so a bad input leaves no snapshot behind."""
     cfg = resolve_config(args)
     ckpt = load_checkpoint(args.checkpoint)
     datasets = [load_split(cfg, split) for split in splits]
-    write_snapshot(cfg, command)
     return cfg, ckpt, datasets, evaluation.config_digest(cfg.render())
 
 
 def cmd_knn(args) -> int:
-    cfg, ckpt, datasets, digest = _load_for_eval(args, "knn")
+    cfg, ckpt, datasets, digest = _load_for_eval(args)
     train_bank, test_bank = (evaluation.extract_features(ckpt, ds) for ds in datasets)
-    return publish_report(cfg, evaluation.knn_eval(train_bank, test_bank, cfg.knn_k, digest))
+    return publish_report(cfg, "knn", evaluation.knn_eval(train_bank, test_bank, cfg.knn_k, digest))
 
 
 def cmd_probe(args) -> int:
-    cfg, ckpt, datasets, digest = _load_for_eval(args, "probe")
+    cfg, ckpt, datasets, digest = _load_for_eval(args)
     train_bank, test_bank = (evaluation.extract_features(ckpt, ds) for ds in datasets)
-    return publish_report(cfg, evaluation.linear_probe(train_bank, test_bank, _probe_cfg(cfg), digest))
+    return publish_report(cfg, "probe", evaluation.linear_probe(train_bank, test_bank, _probe_cfg(cfg), digest))
 
 
 def cmd_finetune(args) -> int:
-    cfg, ckpt, (train_ds, test_ds), digest = _load_for_eval(args, "finetune")
-    return publish_report(cfg, evaluation.finetune_semi(
+    cfg, ckpt, (train_ds, test_ds), digest = _load_for_eval(args)
+    return publish_report(cfg, "finetune", evaluation.finetune_semi(
         ckpt, train_ds, test_ds, cfg.finetune_fraction, _probe_cfg(cfg), digest
     ))
 
 
 def cmd_export(args) -> int:
-    cfg, ckpt, (ds,), _ = _load_for_eval(args, "export-embeddings", (args.split,))
+    cfg, ckpt, (ds,), _ = _load_for_eval(args, (args.split,))
     bank = evaluation.extract_features(ckpt, ds, l2_normalize=False)
+    write_snapshot(cfg, "export-embeddings")
     path = os.path.join(cfg.out_dir, f"embeddings_{args.split}.csv")
     with open(path, "w") as f:
         f.write("label," + ",".join(f"y{i}" for i in range(bank.features.shape[1])) + "\n")
@@ -191,8 +195,7 @@ def gradcheck(cfg: TriMixConfig, batch: int = 8, side: int = 16) -> float:
     tape = Tape()
     attached = params.attach(tape)
     bd = trimix_step_loss(views, attached, cfg, GRADCHECK_LAMBDA)
-    grad_map = backward(bd.loss)
-    tape_grads = [grad_map[t.node].data for t in attached.tensors()]
+    tape_grads = backward(bd.loss)
 
     flat = [t.data for t in params.tensors()]
     tape_flat = np.concatenate([g.reshape(-1) for g in tape_grads])

@@ -152,9 +152,9 @@ def _sgd_fit(arrays: list, n: int, batch: int, key: tuple, loss_of, cfg: ProbeCo
         for idx in batches(n, batch, cfg.seed, *key, epoch):
             tape = Tape()
             leaves = [tape.leaf(Tensor(a)) for a in arrays]
-            grad_map = backward(loss_of(idx, leaves))
-            for w, leaf, v in zip(arrays, leaves, velocity):
-                g = grad_map[leaf.node].data + cfg.weight_decay * w
+            grads = backward(loss_of(idx, leaves))
+            for w, g, v in zip(arrays, grads, velocity):
+                g += cfg.weight_decay * w
                 v *= cfg.momentum
                 v += g
                 w -= cfg.lr * v

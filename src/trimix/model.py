@@ -92,7 +92,9 @@ class ModelParams:
         return out
 
     def attach(self, tape: Tape) -> "ModelParams":
-        """Register every parameter as a tape leaf (storage is shared)."""
+        """Register every parameter as a tape leaf (storage is shared), in
+        `tensors()` and `names()` order: the order `backward` returns their
+        gradients in."""
         enc = [(tape.leaf(w), tape.leaf(b)) for w, b in self.encoder_layers]
         proj = [(tape.leaf(w), tape.leaf(b)) for w, b in self.projector_layers]
         return ModelParams(arch=self.arch, encoder_layers=enc, projector_layers=proj)

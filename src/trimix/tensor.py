@@ -5,6 +5,8 @@ append nodes in execution order, so insertion order is already a
 topological order and the backward sweep is a single reverse pass that
 touches each node at most once.  A tape is swept once: the sweep drops
 each node's rule, and with it the arrays the rule saved, as it passes.
+`backward` returns one plain gradient array per leaf, in the order the
+leaves were registered, and sums a node's contributions in place.
 
 Values are 64-bit throughout; every recorded operation checks its output
 for NaN/Inf and fails loudly instead of propagating poison.
@@ -41,7 +43,10 @@ from .errors import (
 
 Array = np.ndarray
 
-# backward(upstream) -> one gradient array per op input, in input order
+# backward(upstream) -> one gradient array per op input, in input order.
+# The arrays are the sweep's to keep and add into: no two share memory,
+# and none shares memory with any node's forward data.  A rule may hand
+# its upstream itself to one input (add does, to its first).
 BackwardRule = Callable[[Array], tuple]
 
 
@@ -157,7 +162,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.shape != bd.shape:
         raise DimensionError(f"add: shapes {list(ad.shape)} and {list(bd.shape)} do not match")
-    return apply_op("add", (a, b), ad + bd, lambda g: (g, g))
+    return apply_op("add", (a, b), ad + bd, lambda g: (g, g.copy()))
 
 
 def scalar_mul(t: Tensor, s: float) -> Tensor:
@@ -265,13 +270,15 @@ def affine(x, w: Tensor, bias: Tensor) -> Tensor:
     return res
 
 
-def backward(loss: Tensor) -> dict[int, Tensor]:
-    """Reverse sweep from a scalar loss.
+def backward(loss: Tensor) -> list[Array]:
+    """Reverse sweep from a scalar loss: one gradient array per leaf on
+    the tape, in registration order, zeros for a leaf the loss does not
+    reach.
 
-    Returns a map `leaf node id -> gradient tensor` covering every leaf on
-    the tape; leaves the loss does not depend on get zero gradients.  The
-    sweep releases every node's rule and every non-leaf gradient as it
-    goes, so a tape is swept once: sweeping it again raises ContractError.
+    Later contributions to a node add into its first in place (see
+    `BackwardRule`).  The sweep releases every node's rule and every
+    non-leaf gradient as it goes, so a tape is swept once: sweeping it
+    again raises ContractError.
     """
     if loss.tape is None or loss.node is None:
         raise DetachedValueError("backward needs a loss recorded on a tape")
@@ -283,11 +290,6 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
     tape.swept = True
     nodes = tape.nodes
     grads: list[Optional[Array]] = [None] * len(nodes)
-    # owned[i]: grads[i] is a sum this sweep allocated, so later
-    # contributions add into it; a first contribution is a rule's own
-    # array (add's rule hands one upstream array to both its inputs), so
-    # the second one makes a fresh sum and leaves it unwritten
-    owned = [False] * len(nodes)
     grads[loss.node] = np.ones_like(loss.data)
     for nid in range(len(nodes) - 1, -1, -1):
         node = nodes[nid]
@@ -302,18 +304,9 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
         for pid, pg in zip(node.parents, rule(g)):
             if pid is None:
                 continue
-            acc = grads[pid]
-            if acc is None:
+            if grads[pid] is None:
                 grads[pid] = pg
-            elif owned[pid]:
-                acc += pg
             else:
-                grads[pid] = acc + pg
-                owned[pid] = True
-    out: dict[int, Tensor] = {}
-    for nid, node in enumerate(nodes):
-        if node.kind != "leaf":
-            continue
-        g = grads[nid]
-        out[nid] = Tensor(np.zeros(node.shape) if g is None else g)
-    return out
+                grads[pid] += pg
+    return [np.zeros(node.shape) if g is None else g
+            for node, g in zip(nodes, grads) if node.kind == "leaf"]

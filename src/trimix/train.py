@@ -367,12 +367,11 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
             attached = params.attach(tape)
             try:
                 bd = trimix_step_loss(views, attached, cfg, lam)
-                grad_map = backward(bd.loss)
+                grads = backward(bd.loss)
             except NumericError as exc:
                 raise NumericError(f"step {step} (epoch {epoch}): {exc}") from exc
-            grads = [grad_map[t.node].data for t in attached.tensors()]
             adam_step(params, grads, adam)
-            del grad_map, grads  # not held through the next step's forward and backward
+            del grads  # not held through the next step's forward and backward
             rows.append(metrics_row(step, epoch, lam, bd))
         ckpt.epoch = epoch
         if out_dir is not None and cfg.save_every > 0 and epoch % cfg.save_every == 0:

@@ -55,3 +55,15 @@ def test_traced_pretrain_records_every_kind_and_changes_no_byte(spans, tmp_path)
     assert {spans.STEP, spans.STEP_LOSS, spans.BACKWARD, "train.adam_step"} <= recorded
     for name in ("metrics.csv", "checkpoint.tmx"):
         assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "traced" / name).read_bytes(), name
+
+
+def test_traced_gradcheck_returns_the_same_error(spans):
+    """The gradcheck path, where perfbench wraps `cli.backward` and every
+    tape rule, at the gradcheck_small workload's arch."""
+    cfg = TriMixConfig(seed=7, encoder_widths=(16, 8), projector_widths=(8, 8, 8)).validate()
+    plain = trimix.cli.gradcheck(cfg, batch=8, side=16)
+    rec = spans.Recorder()
+    with spans.installed(rec, trimix):
+        traced = trimix.cli.gradcheck(cfg, batch=8, side=16)
+    assert traced == plain < 1e-4
+    assert {spans.BACKWARD, "tensor.affine.bwd", "objective.loss_con.bwd"} <= set(rec.names)

@@ -98,6 +98,14 @@ class TestPretrainCommand:
         assert len(err) == 1 and err[0].startswith("error:") and reason in err[0], err
         assert not out.exists()
 
+    def test_batch_larger_than_the_training_split_leaves_no_snapshot(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run(["pretrain", "--set", "batch_size=1000", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "batch size 1000" in err[0], err
+        assert not out.exists()
+
 
 def write_idx(tmp_path, n=16, side=4):
     """A random IDX image/label pair of n side x side images."""
@@ -203,6 +211,23 @@ class TestEvalCommands:
         reports = open(f"{out}/reports.csv").read().splitlines()
         assert reports[0] == "protocol,top1,n,config_digest"
         assert len(reports) == 4  # knn, probe, finetune
+
+    @pytest.mark.parametrize("command, extra, reason", [
+        ("knn", [], "input width 256"),
+        ("probe", [], "input width 256"),
+        ("export-embeddings", [], "input width 256"),
+        ("finetune", ["--set", "synthetic_size=16", "--set", "finetune_fraction=0.001"], "selects no samples"),
+    ])
+    def test_failed_evaluation_leaves_no_snapshot(self, tmp_path, capsys, command, extra, reason):
+        # a 16x16 checkpoint; FAST_OVERRIDES evaluates on 8x8 images
+        ckpt = f"{pretrain_once(tmp_path, extra=['--set', 'synthetic_size=16'])}/checkpoint.tmx"
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        code = run([command, *FAST_OVERRIDES, *extra, "--checkpoint", ckpt, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and reason in err[0], err
+        assert not out.exists()
 
     def test_corrupt_checkpoint_exits_one(self, tmp_path, capsys):
         out = pretrain_once(tmp_path)

@@ -3,7 +3,12 @@ import numpy as np
 import pytest
 from conftest import contract, op_gradcheck, rng_for
 
+from trimix import eval as evaluation
+from trimix import objective, stats, tensor
+from trimix.config import TriMixConfig
+from trimix.data import SyntheticSpec, synthetic_blobs, two_views
 from trimix.errors import ContractError, DetachedValueError, DimensionError, NumericError
+from trimix.model import init_params
 from trimix.tensor import Tape, Tensor, add, affine, apply_op, backward, relu, rows, scalar_mul
 
 
@@ -115,7 +120,7 @@ class TestRowBlocks:
             # <blk, r>; the unit upstream times r keeps the signs of zeros
             parts.append(apply_op("linear", (blk,), np.array([float((blk.data * r).sum())]),
                                   lambda g, r=r: (float(g[0]) * r,)))
-        grad = backward(add(add(parts[0], parts[1]), parts[2]))[t.node].data
+        (grad,) = backward(add(add(parts[0], parts[1]), parts[2]))
         assert grad.tobytes() == np.concatenate(ups).tobytes()
 
 
@@ -144,8 +149,8 @@ class TestBackwardContract:
     def test_square_sum_gradient(self):
         tape = Tape()
         x = tape.leaf(Tensor([[3.0]]))
-        grads = backward(_square(x))
-        np.testing.assert_array_equal(grads[x.node].data, [[6.0]])
+        (grad,) = backward(_square(x))
+        np.testing.assert_array_equal(grad, [[6.0]])
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
@@ -162,8 +167,8 @@ class TestBackwardContract:
         x = tape.leaf(Tensor([[2.0]]))
         unused = tape.leaf(Tensor(np.ones((3, 3))))
         grads = backward(_square(x))
-        np.testing.assert_array_equal(grads[unused.node].data, np.zeros((3, 3)))
-        assert set(grads) == {x.node, unused.node}
+        assert len(grads) == 2
+        np.testing.assert_array_equal(grads[1], np.zeros((3, 3)))
 
     def test_mixed_tapes_rejected(self):
         a = Tape().leaf(Tensor([1.0]))
@@ -183,12 +188,13 @@ class TestTapeInvariants:
 
     def test_replay_same_node_count_and_gradients(self):
         t1, t2 = Tape(), Tape()
-        x1, y1, l1 = self._build(t1)
-        x2, y2, l2 = self._build(t2)
+        _, _, l1 = self._build(t1)
+        _, _, l2 = self._build(t2)
         assert len(t1) == len(t2)
         g1, g2 = backward(l1), backward(l2)
-        np.testing.assert_array_equal(g1[x1.node].data, g2[x2.node].data)
-        np.testing.assert_array_equal(g1[y1.node].data, g2[y2.node].data)
+        assert len(g1) == len(g2) == 3
+        for a, b in zip(g1, g2):
+            np.testing.assert_array_equal(a, b)
 
     def test_forward_bit_identical_across_runs(self):
         def run():
@@ -218,8 +224,9 @@ class TestTapeInvariants:
             add(x, Tensor([[1.0, 1.0]]))
 
 
-def _sweep_keeping_rules(loss: Tensor) -> dict[int, np.ndarray]:
-    """A reference sweep that leaves every rule on the tape."""
+def _sweep_keeping_rules(loss: Tensor) -> list[np.ndarray]:
+    """A reference sweep that leaves every rule on the tape and never adds
+    in place; leaf gradients in registration order."""
     grads = {loss.node: np.ones_like(loss.data)}
     for nid in range(loss.node, -1, -1):
         node = loss.tape.nodes[nid]
@@ -228,8 +235,8 @@ def _sweep_keeping_rules(loss: Tensor) -> dict[int, np.ndarray]:
         for pid, pg in zip(node.parents, node.rule(grads[nid])):
             if pid is not None:
                 grads[pid] = pg if pid not in grads else grads[pid] + pg
-    return {nid: grads.get(nid, np.zeros(node.shape))
-            for nid, node in enumerate(loss.tape.nodes) if node.kind == "leaf"}
+    return [grads.get(nid, np.zeros(node.shape))
+            for nid, node in enumerate(loss.tape.nodes) if node.kind == "leaf"]
 
 
 class TestSweptTape:
@@ -265,18 +272,18 @@ class TestSweptTape:
         t1, t2 = Tape(), Tape()
         _, _, l1 = self._build(t1)
         _, _, l2 = self._build(t2)
-        unused = t2.leaf(Tensor(np.ones((2, 3))))
+        t2.leaf(Tensor(np.ones((2, 3))))
         t1.leaf(Tensor(np.ones((2, 3))))
         want = _sweep_keeping_rules(l1)
         got = backward(l2)
-        assert set(got) == set(want) and unused.node in got
-        for nid, g in want.items():
-            assert got[nid].data.tobytes() == g.tobytes()
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestGradientAccumulation:
-    """backward adds a third and later contribution into the sum it made
-    for the second; a rule's own arrays are never written."""
+    """backward adds a node's second and later contributions into its
+    first in place, and gets the bytes of a sweep that never does."""
 
     def _build(self, tape):
         rng = rng_for(8)
@@ -288,32 +295,123 @@ class TestGradientAccumulation:
         loss = contract(add(add(s, scalar_mul(t1, 2.0)), scalar_mul(t2, -3.0)))
         return (p, q), (t1, t2, s), loss
 
-    def test_leaf_gradients_match_the_reference_sweep_and_upstreams_stay_unwritten(self):
+    def test_leaf_gradients_match_reference_and_share_no_memory(self):
         t1, t2 = Tape(), Tape()
         _, _, l1 = self._build(t1)
-        leaves, adds, l2 = self._build(t2)
+        _, _, l2 = self._build(t2)
         want = _sweep_keeping_rules(l1)
-        seen = []
-        for t in adds:
-            node = t2.nodes[t.node]
-
-            def spy(g, rule=node.rule):
-                seen.append((g, g.copy()))
-                return rule(g)
-            node.rule = spy
         got = backward(l2)
-        assert len(seen) == 3
-        for g, snapshot in seen:
-            assert g.tobytes() == snapshot.tobytes()
-        for leaf in leaves:
-            assert got[leaf.node].data.tobytes() == want[leaf.node].tobytes()
+        assert not np.shares_memory(got[0], got[1])
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_repeated_leaf_in_one_add(self):
         tape = Tape()
         x = tape.leaf(Tensor([[1.0, 2.0]]))
-        grads = backward(contract(add(add(x, x), x)))
+        (grad,) = backward(contract(add(add(x, x), x)))
         r = np.random.default_rng(0).normal(size=(1, 2))
-        assert grads[x.node].data.tobytes() == (r + r + r).tobytes()
+        assert grad.tobytes() == (r + r + r).tobytes()
+
+
+def _default_step(tape: Tape):
+    """Record one default-config objective evaluation (B=8, 16x16) on
+    `tape`; returns the attached parameters and the loss."""
+    cfg = TriMixConfig()
+    ds = synthetic_blobs(SyntheticSpec(n=8, classes=2, size=16, seed=0))
+    views = two_views(ds.images, cfg.augment_policy(), 0)
+    attached = init_params(cfg.arch_for(256), seed=0).attach(tape)
+    return attached, objective.trimix_step_loss(views, attached, cfg, 0.3).loss
+
+
+class TestGradientList:
+    """backward returns one plain array per leaf, in registration order."""
+
+    def test_registration_order_and_zeros_of_each_shape(self):
+        rng = rng_for(9)
+        tape = Tape()
+        a = tape.leaf(Tensor(rng.normal(size=(2, 3))))
+        h = scalar_mul(a, 2.0)
+        w = tape.leaf(Tensor(rng.normal(size=(3, 4))))  # registered after an op
+        unused = tape.leaf(Tensor(np.ones(5)))
+        b = tape.leaf(Tensor(rng.normal(size=4)))
+        loss = contract(affine(h, w, b))
+        tape.leaf(Tensor(np.ones((1, 2))))  # registered after the loss
+        grads = backward(loss)
+        assert all(type(g) is np.ndarray for g in grads)
+        assert [g.shape for g in grads] == [(2, 3), (3, 4), (5,), (4,), (1, 2)]
+        r = np.random.default_rng(0).normal(size=(2, 4))  # contract's cotangent
+        np.testing.assert_allclose(grads[0], 2.0 * (r @ w.data.T), rtol=1e-12)
+        np.testing.assert_allclose(grads[1], h.data.T @ r, rtol=1e-12)
+        np.testing.assert_array_equal(grads[2], np.zeros_like(unused.data))
+        np.testing.assert_allclose(grads[3], r.sum(axis=0), rtol=1e-12)
+        np.testing.assert_array_equal(grads[4], np.zeros((1, 2)))
+
+    def test_default_arch_lines_up_with_the_parameter_names(self):
+        tape = Tape()
+        attached, loss = _default_step(tape)
+        leaf_ids = [nid for nid, node in enumerate(tape.nodes) if node.kind == "leaf"]
+        assert [t.node for t in attached.tensors()] == leaf_ids  # attach registers in tensors() order
+        grads = backward(loss)
+        assert len(grads) == len(attached.names()) == 10
+        assert [g.shape for g in grads] == [t.shape for t in attached.tensors()]
+        for i, g in enumerate(grads):
+            for other in grads[i + 1:] + [t.data for t in attached.tensors()]:
+                assert not np.shares_memory(g, other)
+
+
+class TestRuleAliasing:
+    """The rule contract the in-place sum relies on (`BackwardRule`): no
+    two arrays one rule returns share memory, none shares memory with any
+    node's forward data, and only `add` hands on its upstream, to one
+    input."""
+
+    def _check_rules(self, monkeypatch, record) -> set:
+        forward = []
+        orig = tensor.apply_op
+
+        def spy(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            forward.append(out.data)
+            return out
+
+        for module in (tensor, stats, objective, evaluation):
+            monkeypatch.setattr(module, "apply_op", spy)
+        tape = Tape()
+        forward += record(tape)
+        rng = rng_for(12)
+        for node in tape.nodes:
+            if node.rule is None:
+                continue
+            g = rng.normal(size=node.shape)
+            out = [a for a in node.rule(g) if a is not None]
+            assert sum(np.shares_memory(a, g) for a in out) <= (node.kind == "add"), node.kind
+            for i, a in enumerate(out):
+                for other in out[i + 1:] + forward:
+                    assert not np.shares_memory(a, other), node.kind
+        return {node.kind for node in tape.nodes}
+
+    def test_every_rule_of_a_default_step(self, monkeypatch):
+        def record(tape):
+            attached, _ = _default_step(tape)
+            return [t.data for t in attached.tensors()]
+
+        kinds = self._check_rules(monkeypatch, record)
+        assert kinds == {
+            "leaf", "affine", "relu", "rows", "mixup", "standardize_batch", "standardize_feature",
+            "cross_correlation_features", "cross_correlation_samples", "bt_invariance",
+            "bt_redundancy", "row_softmax", "loss_vrt", "loss_con", "scalar_mul", "add",
+        }
+
+    def test_softmax_cross_entropy(self, monkeypatch):
+        rng = rng_for(13)
+        leaves = [rng.normal(size=(5, 3)), rng.normal(size=3)]
+
+        def record(tape):
+            w, b = (tape.leaf(Tensor(a)) for a in leaves)
+            evaluation.softmax_cross_entropy(affine(Tensor(rng.normal(size=(6, 5))), w, b), np.arange(6) % 3)
+            return leaves
+
+        assert self._check_rules(monkeypatch, record) == {"leaf", "affine", "softmax_cross_entropy"}
 
 
 def _away_from_kinks(a):

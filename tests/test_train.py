@@ -351,9 +351,9 @@ def test_step_gradients_are_released_before_the_next_step(monkeypatch):
     orig_backward, orig_loss = train.backward, train.trimix_step_loss
 
     def spy_backward(loss):
-        grad_map = orig_backward(loss)
-        refs.append([weakref.ref(t.data) for t in grad_map.values()])
-        return grad_map
+        grads = orig_backward(loss)
+        refs.append([weakref.ref(g) for g in grads])
+        return grads
 
     def spy_loss(*args, **kwargs):
         if refs:
