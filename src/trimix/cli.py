@@ -14,7 +14,7 @@ from .model import init_params
 from .objective import ground_truth_matrix, loss_bt, loss_con, loss_vrt, trimix_step_loss
 from .stats import cross_correlation, standardize
 from .tensor import Tape, Tensor, backward
-from .train import Checkpoint, check_resume_arch, load_checkpoint, pretrain
+from .train import Checkpoint, check_resume, load_checkpoint, pretrain
 
 GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_LAMBDA = 0.3
@@ -111,15 +111,21 @@ def _probe_cfg(cfg: TriMixConfig) -> evaluation.ProbeConfig:
 
 
 def cmd_pretrain(args) -> int:
-    """Every input (a resume checkpoint and its arch, the batch size
-    against the training split) is checked before the snapshot is
-    written, and the snapshot before training, so a run that fails
-    mid-way keeps its provenance.  Only the training split is read."""
+    """Every input (a resume checkpoint, its arch and the epochs it leaves,
+    the batch size against the training split) is checked before the
+    snapshot is written, and the snapshot before training, so a run that
+    fails mid-way keeps its provenance.  Only the training split is read.
+
+    A resumed run's metrics.csv holds only the steps it runs, so it must
+    not replace the one an earlier run left in `--out`."""
     cfg = resolve_config(args)
     resume = load_checkpoint(args.resume) if args.resume else None
     train_ds = load_split(cfg, "train")
     if resume is not None:
-        check_resume_arch(resume, cfg.arch_for(train_ds.input_width))
+        check_resume(resume, cfg.arch_for(train_ds.input_width), cfg.epochs)
+        metrics = os.path.join(cfg.out_dir, "metrics.csv")
+        if os.path.exists(metrics):
+            raise ContractError(f"{metrics} already exists; resume into a fresh --out")
     data.batches(len(train_ds), cfg.batch_size, cfg.seed)  # raises if the batch size does not fit
     write_snapshot(cfg, "pretrain")
     ckpt, rows = pretrain(cfg, train_ds, out_dir=cfg.out_dir, resume=resume)

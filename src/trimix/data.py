@@ -4,7 +4,8 @@ All randomness flows from `derived_rng(seed, *key)` streams, keyed by the
 master seed and a structural key (stream, epoch, batch, index, view), so
 results never depend on execution order or worker count.  `two_views`
 computes its per-image streams batch-wide (`streams.raw_words`), with the
-values those generators would draw.
+values those generators would draw, and `synthetic_blobs` seeds one reused
+generator with each image's starting state (`streams.initial_states`).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BatchParityError, ContractError, FormatError
-from .streams import MASK32, as_random, derived_rng, raw_words
+from .streams import MASK32, as_random, derived_rng, initial_states, raw_words
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -27,6 +28,9 @@ STREAM_AUGMENT = 1
 STREAM_LAMBDA = 2
 STREAM_SHUFFLE = 3
 STREAM_SYNTH = 4
+
+# images per whole-array pass of `synthetic_blobs`: bounds its temporaries
+SYNTH_CHUNK = 256
 
 
 @dataclass
@@ -104,6 +108,12 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 1 or self.classes < 1 or self.size < 4:
             raise ContractError("synthetic spec: need n >= 1, classes >= 1, size >= 4")
+        for name in ("noise", "background", "center_jitter"):
+            if not getattr(self, name) >= 0:
+                raise ContractError(f"synthetic spec: {name} must be >= 0, got {getattr(self, name)}")
+        if not self.amp_low <= self.amp_high:
+            raise ContractError(
+                f"synthetic spec: amp_low {self.amp_low} must not exceed amp_high {self.amp_high}")
 
 
 def _read_be_u32(buf: bytes, offset: int, path: str) -> int:
@@ -213,27 +223,54 @@ def load_csv(path: str) -> Dataset:
 
 
 def synthetic_blobs(spec: SyntheticSpec) -> Dataset:
-    """Render class-positioned gaussian bumps with per-sample seeded noise."""
+    """Render class-positioned gaussian bumps with per-sample seeded noise.
+
+    Image i draws from derived_rng(spec.seed, STREAM_SYNTH, i), in this
+    order: the center's jitter `normal(0, center_jitter, 2)`, the amplitude
+    `uniform(amp_low, amp_high)`, the offset `uniform(0, background)` and
+    the pixel noise `normal(0, noise, (g, g))`; `oracle.naive_synthetic_blobs`
+    spells that out image by image.  Here one reused PCG64 takes each
+    image's starting state (`streams.initial_states`) and draws the
+    standard values, which are scaled, shifted and rendered in whole-array
+    passes over chunks of SYNTH_CHUNK images.
+    """
     g = spec.size
     sigma = g / 7.0
     # class centers stacked on the vertical midline: each class maps to
     # itself under the horizontal flips the augmentation policy applies
     rows = g * (np.arange(spec.classes) + 1.0) / (spec.classes + 1.0)
     centers = np.stack([rows, np.full(spec.classes, (g - 1) / 2.0)], axis=1)
-    yy, xx = np.mgrid[0:g, 0:g].astype(np.float64)
+    grid = np.arange(g, dtype=np.float64)
 
     images = np.empty((spec.n, 1, g, g), dtype=np.float64)
     labels = np.arange(spec.n, dtype=np.int64) % spec.classes
-    for i in range(spec.n):
-        rng = derived_rng(spec.seed, STREAM_SYNTH, i)
-        k = labels[i]
-        center = centers[k] + rng.normal(0.0, spec.center_jitter, size=2)
-        amp = rng.uniform(spec.amp_low, spec.amp_high)
-        offset = rng.uniform(0.0, spec.background)
-        d2 = (yy - center[0]) ** 2 + (xx - center[1]) ** 2
-        img = offset + amp * np.exp(-d2 / (2.0 * sigma * sigma))
-        img = img + rng.normal(0.0, spec.noise, size=(g, g))
-        images[i, 0] = np.clip(img, 0.0, 1.0)
+    bitgen = np.random.PCG64(0)  # each image sets its own state
+    gen = np.random.Generator(bitgen)
+    for start in range(0, spec.n, SYNTH_CHUNK):
+        stop = min(start + SYNTH_CHUNK, spec.n)
+        jitter, uniforms = np.empty((stop - start, 2)), np.empty((stop - start, 2))
+        out = images[start:stop, 0]
+        states = initial_states(spec.seed, (STREAM_SYNTH,), np.arange(start, stop)[:, None])
+        for j, state in enumerate(states):
+            bitgen.state = state
+            gen.standard_normal(out=jitter[j])
+            gen.random(out=uniforms[j])
+            gen.standard_normal(out=out[j])  # the noise, drawn in place
+        # normal(0, s) is 0 + s*z and uniform(a, b) is a + (b - a)*u.  The
+        # 0 + only turns a -0.0 into 0.0, and every such term is then added
+        # to a center or an image that is never -0.0, so it changes no bit
+        center = centers[labels[start:stop]] + spec.center_jitter * jitter
+        amp = spec.amp_low + (spec.amp_high - spec.amp_low) * uniforms[:, 0]
+        offset = spec.background * uniforms[:, 1]
+        out *= spec.noise
+        # the squared distance is a row term plus a column term
+        d2 = (grid - center[:, 0, None])[:, :, None] ** 2 + (grid - center[:, 1, None])[:, None, :] ** 2
+        d2 /= -(2.0 * sigma * sigma)  # -d2 / (2 sigma^2): the same bits
+        np.exp(d2, out=d2)
+        d2 *= amp[:, None, None]
+        d2 += offset[:, None, None]
+        out += d2
+        np.clip(out, 0.0, 1.0, out=out)
     return Dataset(images=images, labels=labels)
 
 

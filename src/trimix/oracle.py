@@ -349,6 +349,30 @@ def objective_finite_diff(x, x_prime, encoder: list, projector: list, cfg, lam: 
     return value, grads
 
 
+def naive_synthetic_blobs(spec, *key: int) -> tuple[np.ndarray, np.ndarray]:
+    """The synthetic dataset of `spec`, one image at a time: image i, of
+    class i mod classes, draws from its own generator, seeded by
+    SeedSequence(spec.seed, spawn_key=(*key, i)), its center's jitter, its
+    amplitude, its background offset and its pixel noise, in that order."""
+    g = spec.size
+    sigma = g / 7.0
+    rows = g * (np.arange(spec.classes) + 1.0) / (spec.classes + 1.0)
+    centers = np.stack([rows, np.full(spec.classes, (g - 1) / 2.0)], axis=1)
+    yy, xx = np.mgrid[0:g, 0:g].astype(np.float64)
+    images = np.empty((spec.n, 1, g, g), dtype=np.float64)
+    labels = np.arange(spec.n, dtype=np.int64) % spec.classes
+    for i in range(spec.n):
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(*key, i)))
+        center = centers[labels[i]] + rng.normal(0.0, spec.center_jitter, size=2)
+        amp = rng.uniform(spec.amp_low, spec.amp_high)
+        offset = rng.uniform(0.0, spec.background)
+        d2 = (yy - center[0]) ** 2 + (xx - center[1]) ** 2
+        img = offset + amp * np.exp(-d2 / (2.0 * sigma * sigma))
+        img = img + rng.normal(0.0, spec.noise, size=(g, g))
+        images[i, 0] = np.clip(img, 0.0, 1.0)
+    return images, labels
+
+
 def naive_two_views(batch_images: np.ndarray, policy, seed: int, *key: int) -> tuple[np.ndarray, np.ndarray]:
     """Both augmented views of a batch, one image at a time: image i of
     view v draws from its own generator, seeded by

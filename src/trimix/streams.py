@@ -1,10 +1,12 @@
-"""Random streams: `derived_rng`, and its first words for many keys at once.
+"""Random streams: `derived_rng`, and its states and first words for many
+keys at once.
 
 Every random draw in trimix comes from `derived_rng(seed, *key)`: numpy's
 PCG64 seeded through `SeedSequence(seed, spawn_key=key)`.  Building one
 such generator costs tens of microseconds, which dominates a training step
 that needs one per image and view.  `raw_words` computes the same output
-words for a whole batch of keys as array arithmetic:
+words for a whole batch of keys as array arithmetic, and `initial_states`
+the state each generator starts from, for a reused PCG64 to draw from:
 
 - SeedSequence's hash (numpy's port of O'Neill's `seed_seq_fe`): the seed
   and the constant key prefix are mixed into the 4-word pool once, on
@@ -16,7 +18,8 @@ words for a whole batch of keys as array arithmetic:
   jump constants without a sequential loop.
 
 The words equal `derived_rng(seed, *prefix, *row).bit_generator.random_raw(n)`
-bit for bit; `tests/test_streams.py` holds that against numpy itself.
+bit for bit, and the states its `.bit_generator.state`;
+`tests/test_streams.py` holds both against numpy itself.
 """
 from __future__ import annotations
 
@@ -111,14 +114,16 @@ def _mulhi64(a, b):
 
 
 @functools.lru_cache(maxsize=None)
-def _jumps(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low limbs, shaped (2, 1, n), of A_k = M**(k+2) and
-    C_k = M**0 + ... + M**(k+2) for k < n.  Seeding sets the state to
-    M*s + (M+1)*inc and each output steps first, so output k reads the
-    state A_k*s + C_k*inc (mod 2**128)."""
+def _jumps(first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low limbs, shaped (2, 1, n), of A_k = M**(k+1) and
+    C_k = M**0 + ... + M**(k+1) for first <= k < first + n.  Seeding sets
+    the state to M*s + (M+1)*inc (k = 0), and each step after that maps
+    x to M*x + inc, so k steps later the state is A_k*s + C_k*inc
+    (mod 2**128); output j reads the state of step k = j + 1."""
     mod = 1 << 128
-    a = [pow(PCG_MULT, k + 2, mod) for k in range(n)]
-    c = [sum(pow(PCG_MULT, j, mod) for j in range(k + 3)) % mod for k in range(n)]
+    ks = range(first, first + n)
+    a = [pow(PCG_MULT, k + 1, mod) for k in ks]
+    c = [sum(pow(PCG_MULT, j, mod) for j in range(k + 2)) % mod for k in ks]
     hi = np.array([[[v >> 64 for v in a]], [[v >> 64 for v in c]]], dtype=np.uint64)
     lo = np.array([[[v & MASK64 for v in a]], [[v & MASK64 for v in c]]], dtype=np.uint64)
     return hi, lo
@@ -129,13 +134,15 @@ def as_random(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0 ** -53
 
 
-def raw_words(seed: int, prefix, rows: np.ndarray, n: int) -> np.ndarray:
-    """The first `n` PCG64 outputs of `derived_rng(seed, *prefix, *row)` for
-    each row of the (K, L) integer array `rows`, as a (K, n) uint64 array.
+def _needs_generator(rows: np.ndarray) -> np.ndarray:
+    """Indices of the rows with a value outside [0, 2**32): SeedSequence
+    splits such a value into more words than the row has columns."""
+    return np.flatnonzero(((rows < 0) | (rows > MASK32)).any(axis=1))
 
-    A row with a value outside [0, 2**32) splits into more SeedSequence
-    words than it has columns; such rows build their generator.
-    """
+
+def _seeding(seed: int, prefix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's hash of each row into PCG64's seeding words, as the
+    high and low limbs, shaped (2, K, 1), of the stack (s, inc)."""
     pool, h = _const_pool(seed, prefix)
     pool = np.tile(np.array(pool, dtype=np.uint32), (rows.shape[0], 1))
     for column in rows.T:
@@ -146,19 +153,52 @@ def raw_words(seed: int, prefix, rows: np.ndarray, n: int) -> np.ndarray:
     consts, _ = _lane_consts(INIT_B, 2 * POOL_SIZE, MULT_B)
     state, _ = _hash(pool[:, np.arange(2 * POOL_SIZE) % POOL_SIZE], consts, MULT_B)
     seeds = np.ascontiguousarray(state).view(np.uint64)
-    # PCG64 seeding: state s = (s0:s1), increment inc = (s2:s3) << 1 | 1;
-    # output k reads A_k*s + C_k*inc, both products taken at once
+    # PCG64 seeding: s = (s0:s1), inc = (s2:s3) << 1 | 1
     x_hi = np.stack([seeds[:, :1], (seeds[:, 2:3] << 1) | (seeds[:, 3:4] >> 63)])
     x_lo = np.stack([seeds[:, 1:2], (seeds[:, 3:4] << 1) | 1])
-    k_hi, k_lo = _jumps(n)
+    return x_hi, x_lo
+
+
+def _stepped(x_hi: np.ndarray, x_lo: np.ndarray, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low limbs, shaped (K, n), of each row's state `first`, ...,
+    `first + n - 1` steps after seeding: A_k*s + C_k*inc, both products
+    taken at once over the (s, inc) stack."""
+    k_hi, k_lo = _jumps(first, n)
     prod_lo = x_lo * k_lo
     prod_hi = _mulhi64(x_lo, k_lo) + x_lo * k_hi + x_hi * k_lo
     lo = prod_lo[0] + prod_lo[1]
     hi = prod_hi[0] + prod_hi[1] + (lo < prod_lo[0])  # the carry out of the low limbs
+    return hi, lo
+
+
+def raw_words(seed: int, prefix, rows: np.ndarray, n: int) -> np.ndarray:
+    """The first `n` PCG64 outputs of `derived_rng(seed, *prefix, *row)` for
+    each row of the (K, L) integer array `rows`, as a (K, n) uint64 array.
+
+    A row with a value outside [0, 2**32) builds its generator.
+    """
+    hi, lo = _stepped(*_seeding(seed, prefix, rows), 1, n)
     # XSL-RR: the xor of the halves, rotated right by the top 6 state bits
     rot = hi >> 58
     folded = hi ^ lo
     words = (folded >> rot) | (folded << ((64 - rot) & 63))
-    for r in np.flatnonzero(((rows < 0) | (rows > MASK32)).any(axis=1)):
+    for r in _needs_generator(rows):
         words[r] = derived_rng(seed, *prefix, *rows[r].tolist()).bit_generator.random_raw(n)
     return words
+
+
+def initial_states(seed: int, prefix, rows: np.ndarray) -> list[dict]:
+    """`derived_rng(seed, *prefix, *row).bit_generator.state` for each row of
+    the (K, L) integer array `rows`.  Set as the `.state` of any PCG64, it
+    makes that bit generator draw what the row's own generator draws.
+
+    A row with a value outside [0, 2**32) builds its generator.
+    """
+    x_hi, x_lo = _seeding(seed, prefix, rows)
+    hi, lo = _stepped(x_hi, x_lo, 0, 1)
+    pairs = zip(hi[:, 0].tolist(), lo[:, 0].tolist(), x_hi[1, :, 0].tolist(), x_lo[1, :, 0].tolist())
+    states = [{"bit_generator": "PCG64", "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+               "has_uint32": 0, "uinteger": 0} for s_hi, s_lo, i_hi, i_lo in pairs]
+    for r in _needs_generator(rows):
+        states[r] = derived_rng(seed, *prefix, *rows[r].tolist()).bit_generator.state
+    return states

@@ -288,10 +288,15 @@ def load_checkpoint(path: str) -> Checkpoint:
     )
 
 
-def check_resume_arch(resume: Checkpoint, arch: Arch) -> None:
+def check_resume(resume: Checkpoint, arch: Arch, epochs: int) -> None:
+    """A resume checkpoint must hold `arch` and leave epochs to run."""
     if resume.arch != arch:
         raise ArchMismatchError(
             f"resume checkpoint arch {resume.arch.to_dict()} does not match config arch {arch.to_dict()}"
+        )
+    if resume.epoch >= epochs:
+        raise ContractError(
+            f"resume checkpoint is at epoch {resume.epoch} and epochs={epochs}: no epochs left to run"
         )
 
 
@@ -338,7 +343,7 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
     policy = cfg.augment_policy()
     arch = cfg.arch_for(dataset.input_width)
     if resume is not None:
-        check_resume_arch(resume, arch)
+        check_resume(resume, arch, cfg.epochs)
         params, adam = resume.params, resume.adam
         start_epoch = resume.epoch + 1
     else:

@@ -98,6 +98,46 @@ class TestPretrainCommand:
         assert len(err) == 1 and err[0].startswith("error:") and reason in err[0], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("resume_from, reason", [
+        ("checkpoint_epoch0002.tmx", "metrics.csv already exists"),
+        ("checkpoint.tmx", "at epoch 4 and epochs=4"),
+    ])
+    def test_resume_that_would_lose_metrics_is_rejected(self, tmp_path, capsys, resume_from, reason):
+        out = pretrain_once(tmp_path, "D", ["--set", "epochs=4", "--set", "save_every=2"])
+        before = {name: open(f"{out}/{name}", "rb").read() for name in sorted(os.listdir(out))}
+        capsys.readouterr()
+        code = run(["pretrain", *FAST_OVERRIDES, "--set", "epochs=4", "--set", "save_every=2",
+                    "--resume", f"{out}/{resume_from}", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and reason in err[0], err
+        if resume_from == "checkpoint_epoch0002.tmx":
+            assert f"{out}/metrics.csv" in err[0]
+        assert {name: open(f"{out}/{name}", "rb").read() for name in sorted(os.listdir(out))} == before
+        assert len(before["metrics.csv"].splitlines()) == 1 + 4 * 6
+
+    def test_resume_with_no_epochs_left_writes_no_fresh_out(self, tmp_path, capsys):
+        ckpt = f"{pretrain_once(tmp_path, 'first')}/checkpoint.tmx"
+        capsys.readouterr()
+        out = tmp_path / "second"
+        code = run(["pretrain", *FAST_OVERRIDES, "--resume", ckpt, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "at epoch 1 and epochs=1: no epochs left" in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, reason", [
+        ("synthetic_noise=-0.1", "noise must be >= 0"),
+        ("synthetic_background=-1", "background must be >= 0"),
+    ])
+    def test_negative_synthetic_setting_exits_one_and_writes_nothing(self, tmp_path, capsys, setting, reason):
+        out = tmp_path / "D"
+        code = run(["pretrain", "--out", str(out), "--set", "epochs=1", "--set", setting])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and reason in err[0], err
+        assert not out.exists()
+
     def test_batch_larger_than_the_training_split_leaves_no_snapshot(self, tmp_path, capsys):
         out = tmp_path / "x"
         code = run(["pretrain", "--set", "batch_size=1000", "--out", str(out)])

@@ -1,4 +1,5 @@
 """Ingestion formats, augmentation pipeline, and batching."""
+import hashlib
 import itertools
 import struct
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from conftest import imported_names, rng_for
 
-from trimix import data
+from trimix import data, streams
+from trimix.config import TriMixConfig
 from trimix.data import (
     AugmentPolicy,
     SyntheticSpec,
@@ -18,7 +20,7 @@ from trimix.data import (
     two_views,
 )
 from trimix.errors import BatchParityError, ContractError, FormatError
-from trimix.oracle import naive_two_views
+from trimix.oracle import naive_synthetic_blobs, naive_two_views
 from trimix.streams import raw_words
 
 
@@ -129,6 +131,66 @@ class TestSynthetic:
         means = [ds.images[ds.labels == k].mean(axis=0)[0] for k in range(3)]
         peaks = [np.unravel_index(np.argmax(m), m.shape) for m in means]
         assert len(set(peaks)) == 3
+
+    @pytest.mark.parametrize("setting, value", [
+        ("noise", -0.1), ("background", -1.0), ("center_jitter", -0.5), ("noise", float("nan")),
+    ])
+    def test_negative_scale_rejected(self, setting, value):
+        with pytest.raises(ContractError, match=f"{setting} must be >= 0"):
+            SyntheticSpec(**{setting: value})
+
+    def test_reversed_amplitude_range_rejected(self):
+        with pytest.raises(ContractError, match="amp_low 1.0 must not exceed amp_high 0.5"):
+            SyntheticSpec(amp_low=1.0, amp_high=0.5)
+
+
+class TestSyntheticPinned:
+    """The batch-wide build against the image-by-image oracle, and the
+    default splits against their recorded bytes."""
+
+    SPECS = (
+        SyntheticSpec(n=1),
+        SyntheticSpec(n=7, classes=3, size=6, seed=5),
+        SyntheticSpec(n=4, classes=9, size=4, seed=2**32),
+        SyntheticSpec(n=257, classes=4, size=28, seed=2**40 + 3),
+        SyntheticSpec(n=300, classes=2, size=12, seed=0, noise=0.0),
+        SyntheticSpec(n=513, classes=5, size=9, seed=11, background=0.0),
+        SyntheticSpec(n=33, classes=1, size=5, seed=3, noise=0.0, background=0.0, center_jitter=0.0),
+    )
+    DEFAULT_SHA256 = {
+        "train": "22fd3df76b5b63481dc2858dd62eb24c1dfe7744b6451981ff035770fb3a91ac",
+        "test": "c8aac858d4e0b886bfcd6c03581b8107355d56476a583556ab9c7e54f6902008",
+    }
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"n{s.n}-g{s.size}-seed{s.seed}")
+    def test_equals_the_oracle_byte_for_byte(self, spec):
+        ds = synthetic_blobs(spec)
+        images, labels = naive_synthetic_blobs(spec, data.STREAM_SYNTH)
+        assert ds.images.tobytes() == images.tobytes()
+        assert np.array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_default_splits_keep_their_bytes_and_layout(self, split):
+        spec = TriMixConfig().validate().synthetic_spec(split)
+        ds = synthetic_blobs(spec)
+        assert hashlib.sha256(ds.images.tobytes()).hexdigest() == self.DEFAULT_SHA256[split]
+        assert ds.images.shape == (spec.n, 1, 16, 16)
+        # canonical strides: batches gathered from a stride-0 channel axis pad slower
+        assert ds.images.strides == (2048, 2048, 128, 8)
+        assert ds.images.dtype == np.float64
+        assert ds.images.tobytes() == naive_synthetic_blobs(spec, data.STREAM_SYNTH)[0].tobytes()
+
+    def test_builds_no_generator_for_32_bit_keys(self, monkeypatch):
+        made = []
+
+        def counting(seed, *key):
+            made.append(key)
+            return derived_rng(seed, *key)
+
+        monkeypatch.setattr(data, "derived_rng", counting)
+        monkeypatch.setattr(streams, "derived_rng", counting)
+        synthetic_blobs(SyntheticSpec(n=600, seed=2**40 + 3))
+        assert made == []
 
 
 class TestTwoViews:

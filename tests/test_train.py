@@ -266,6 +266,16 @@ class TestCheckpoint:
         with pytest.raises(ArchMismatchError):
             pretrain(cfg, ds, resume=ckpt)
 
+    def test_resume_with_no_epochs_left_rejected(self, tmp_path):
+        cfg = tiny_cfg(epochs=2)
+        ds = synthetic_blobs(cfg.synthetic_spec("train"))
+        path = str(tmp_path / "c.tmx")
+        save_checkpoint(path, pretrain(cfg, ds)[0])
+        for epochs in (1, 2):
+            with pytest.raises(ContractError, match=f"at epoch 2 and epochs={epochs}: no epochs left"):
+                pretrain(tiny_cfg(epochs=epochs), ds, out_dir=str(tmp_path / "out"), resume=load_checkpoint(path))
+        assert os.listdir(tmp_path) == ["c.tmx"]
+
 
 class TestPretrain:
     def test_metrics_deterministic_across_runs(self, tmp_path):
