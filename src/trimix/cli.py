@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -126,7 +127,12 @@ def cmd_pretrain(args) -> int:
         metrics = os.path.join(cfg.out_dir, "metrics.csv")
         if os.path.exists(metrics):
             raise ContractError(f"{metrics} already exists; resume into a fresh --out")
-    data.batches(len(train_ds), cfg.batch_size, cfg.seed)  # raises if the batch size does not fit
+    data.check_batch_size(len(train_ds), cfg.batch_size)
+    if resume is None and os.path.isdir(cfg.out_dir):
+        # a fresh run replaces what an earlier one left: its snapshots too
+        for name in os.listdir(cfg.out_dir):
+            if re.fullmatch(r"checkpoint_epoch\d{4,}\.tmx", name):
+                os.remove(os.path.join(cfg.out_dir, name))
     write_snapshot(cfg, "pretrain")
     ckpt, rows = pretrain(cfg, train_ds, out_dir=cfg.out_dir, resume=resume)
     last = rows[-1] if rows else None

@@ -353,10 +353,9 @@ def two_views(
     src = np.tile(np.arange(n), 2)
     p = policy.pad
     padded = np.pad(batch_images, ((0, 0), (0, 0), (p, p), (p, p)), mode="reflect") if p else batch_images
-    # crop and flip in one gather, which copies: a flipped crop at column
-    # ox is the crop at column 2p - ox of the mirrored stack
-    crops = sliding_window_view(np.concatenate([padded, padded[..., ::-1]]), (h, w), axis=(2, 3))
-    out = crops[src + n * flip, :, oy, np.where(flip, 2 * p - ox, ox)]
+    # the gather copies, so the flip can write in place
+    out = sliding_window_view(padded, (h, w), axis=(2, 3))[src, :, oy, ox]
+    out[flip] = out[flip, ..., ::-1]
     if policy.brightness > 0:
         out *= bright[:, None, None, None]
     if policy.contrast > 0:
@@ -378,12 +377,17 @@ def two_views(
     return ViewPair(x=out[:n], x_prime=out[n:], labels=labels)
 
 
-def batches(n: int, batch_size: int, seed: int, *key: int) -> list[np.ndarray]:
-    """Shuffle range(n) with derived_rng(seed, *key) into even-sized index
-    slices; the final partial batch is dropped."""
+def check_batch_size(n: int, batch_size: int) -> None:
+    """An even batch size in [2, n], the batch sizes `batches` takes."""
     if batch_size % 2 != 0:
         raise BatchParityError(f"batches: batch size {batch_size} is odd, need an even batch")
     if not 2 <= batch_size <= n:
         raise ContractError(f"batches: batch size {batch_size} outside [2, dataset size {n}]")
+
+
+def batches(n: int, batch_size: int, seed: int, *key: int) -> list[np.ndarray]:
+    """Shuffle range(n) with derived_rng(seed, *key) into even-sized index
+    slices; the final partial batch is dropped."""
+    check_batch_size(n, batch_size)
     perm = derived_rng(seed, *key).permutation(n)
     return [perm[start:start + batch_size] for start in range(0, n - batch_size + 1, batch_size)]

@@ -90,15 +90,19 @@ def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
     return features / norms
 
 
+def _check_input_width(checkpoint: Checkpoint, dataset: Dataset) -> None:
+    width = checkpoint.params.arch.input_width
+    if width != dataset.input_width:
+        raise ArchMismatchError(
+            f"checkpoint expects input width {width}, dataset provides {dataset.input_width}"
+        )
+
+
 def extract_features(checkpoint: Checkpoint, dataset: Dataset, l2_normalize: bool = True) -> FeatureBank:
     """Frozen encoder forward over the dataset in order, no augmentation."""
-    if checkpoint.arch.input_width != dataset.input_width:
-        raise ArchMismatchError(
-            f"checkpoint expects input width {checkpoint.arch.input_width}, "
-            f"dataset provides {dataset.input_width}"
-        )
+    _check_input_width(checkpoint, dataset)
     n = len(dataset)
-    feats = np.empty((n, checkpoint.arch.representation_width))
+    feats = np.empty((n, checkpoint.params.arch.representation_width))
     for start in range(0, n, FEATURE_CHUNK):
         stop = min(start + FEATURE_CHUNK, n)
         x = Tensor(dataset.images[start:stop].reshape(stop - start, -1))
@@ -209,11 +213,7 @@ def finetune_semi(
 ) -> EvalReport:
     """Unfreeze the encoder, attach a classifier head to Y, fine-tune on a
     class-stratified label fraction, and report test top-1."""
-    if checkpoint.arch.input_width != train_ds.input_width:
-        raise ArchMismatchError(
-            f"checkpoint expects input width {checkpoint.arch.input_width}, "
-            f"dataset provides {train_ds.input_width}"
-        )
+    _check_input_width(checkpoint, train_ds)
     subset = stratified_subset(train_ds.labels, fraction, probe_cfg.seed)
     n = len(subset)
     if n < 2:
@@ -221,16 +221,14 @@ def finetune_semi(
     images = train_ds.images[subset]
     labels = train_ds.labels[subset]
     params = checkpoint.params.copy()
-    d_y = checkpoint.arch.representation_width
     k = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
-    head_w = np.zeros((d_y, k))
+    head_w = np.zeros((params.arch.representation_width, k))
     head_b = np.zeros(k)
-    encoder = [t.data for pair in params.encoder_layers for t in pair]
+    encoder = [t.data for t in params.tensors()[:params.encoder_end]]
 
     def loss_of(idx, leaves):
         *enc, w, b = leaves
-        attached = ModelParams(params.arch, list(zip(enc[::2], enc[1::2])))
-        y = encode(Tensor(images[idx].reshape(len(idx), -1)), attached)
+        y = encode(Tensor(images[idx].reshape(len(idx), -1)), ModelParams(params.arch, enc))
         return softmax_cross_entropy(affine(y, w, b), labels[idx])
 
     _sgd_fit(encoder + [head_w, head_b], n, min(probe_cfg.batch_size, n - n % 2), (0xFE,), loss_of, probe_cfg)

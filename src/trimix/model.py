@@ -7,6 +7,7 @@ pass of one sample never depends on the rest of the batch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,16 +40,20 @@ class Arch:
     def representation_width(self) -> int:
         return self.encoder[-1]
 
-    def encoder_dims(self) -> list[tuple[int, int]]:
-        widths = [self.input_width, *self.encoder]
-        return list(zip(widths[:-1], widths[1:]))
-
-    def projector_dims(self) -> list[tuple[int, int]]:
-        widths = [self.encoder[-1], *self.projector]
-        return list(zip(widths[:-1], widths[1:]))
+    def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """Every parameter's name and shape, in the one order that
+        `ModelParams`, gradients, Adam moments and checkpoint arrays share:
+        encoder layers, then projector layers, each weight (fan_in, fan_out)
+        then bias (fan_out,)."""
+        shapes = []
+        for stack, widths in (("encoder", (self.input_width, *self.encoder)),
+                              ("projector", (self.encoder[-1], *self.projector))):
+            for i, (din, dout) in enumerate(zip(widths, widths[1:])):
+                shapes += [(f"{stack}.{i}.weight", (din, dout)), (f"{stack}.{i}.bias", (dout,))]
+        return shapes
 
     def param_count(self) -> int:
-        return sum(din * dout + dout for din, dout in self.encoder_dims() + self.projector_dims())
+        return sum(math.prod(shape) for _, shape in self.param_shapes())
 
     def to_dict(self) -> dict:
         return {
@@ -70,39 +75,42 @@ class Arch:
 
 @dataclass
 class ModelParams:
-    """Encoder and projector layer parameters, in declaration order."""
+    """Parameter tensors in `arch.param_shapes()` order.  An encoder-only
+    set, enough for `encode`, is the first `encoder_end` of them."""
 
     arch: Arch
-    encoder_layers: list = field(default_factory=list)  # [(weight, bias), ...]
-    projector_layers: list = field(default_factory=list)
+    flat: list
+    encoder_end: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the encoder/projector split, computed once: the forward pass
+        # indexes `flat` and builds no per-call lists
+        self.encoder_end = 2 * len(self.arch.encoder)
 
     def tensors(self) -> list[Tensor]:
-        flat = []
-        for w, b in self.encoder_layers + self.projector_layers:
-            flat.append(w)
-            flat.append(b)
-        return flat
+        return list(self.flat)
 
     def names(self) -> list[str]:
-        out = []
-        for stack, layers in (("encoder", self.encoder_layers), ("projector", self.projector_layers)):
-            for i in range(len(layers)):
-                out.append(f"{stack}.{i}.weight")
-                out.append(f"{stack}.{i}.bias")
-        return out
+        return [name for name, _ in self.arch.param_shapes()[:len(self.flat)]]
 
     def attach(self, tape: Tape) -> "ModelParams":
         """Register every parameter as a tape leaf (storage is shared), in
         `tensors()` and `names()` order: the order `backward` returns their
         gradients in."""
-        enc = [(tape.leaf(w), tape.leaf(b)) for w, b in self.encoder_layers]
-        proj = [(tape.leaf(w), tape.leaf(b)) for w, b in self.projector_layers]
-        return ModelParams(arch=self.arch, encoder_layers=enc, projector_layers=proj)
+        return ModelParams(self.arch, [tape.leaf(t) for t in self.flat])
 
     def copy(self) -> "ModelParams":
-        enc = [(Tensor(w.data.copy()), Tensor(b.data.copy())) for w, b in self.encoder_layers]
-        proj = [(Tensor(w.data.copy()), Tensor(b.data.copy())) for w, b in self.projector_layers]
-        return ModelParams(arch=self.arch, encoder_layers=enc, projector_layers=proj)
+        return ModelParams(self.arch, [Tensor(t.data.copy()) for t in self.flat])
+
+    @property
+    def encoder_layers(self) -> list[tuple[Tensor, Tensor]]:
+        """(weight, bias) pairs, built on each read, for callers that pass
+        layers to `oracle`."""
+        return list(zip(self.flat[0:self.encoder_end:2], self.flat[1:self.encoder_end:2]))
+
+    @property
+    def projector_layers(self) -> list[tuple[Tensor, Tensor]]:
+        return list(zip(self.flat[self.encoder_end::2], self.flat[self.encoder_end + 1::2]))
 
 
 @dataclass
@@ -114,26 +122,24 @@ class ForwardResult:
 def init_params(arch: Arch, seed: int) -> ModelParams:
     """Uniform(-s, s) weights with s = sqrt(6/(fan_in+fan_out)); zero biases."""
     rng = np.random.default_rng(seed)
-
-    def layer(din: int, dout: int):
-        s = np.sqrt(6.0 / (din + dout))
-        w = Tensor(rng.uniform(-s, s, size=(din, dout)))
-        b = Tensor(np.zeros(dout))
-        return w, b
-
-    enc = [layer(din, dout) for din, dout in arch.encoder_dims()]
-    proj = [layer(din, dout) for din, dout in arch.projector_dims()]
-    return ModelParams(arch=arch, encoder_layers=enc, projector_layers=proj)
+    flat = []
+    for _, shape in arch.param_shapes():
+        if len(shape) == 2:  # a weight (fan_in, fan_out)
+            s = np.sqrt(6.0 / (shape[0] + shape[1]))
+            flat.append(Tensor(rng.uniform(-s, s, size=shape)))
+        else:
+            flat.append(Tensor(np.zeros(shape)))
+    return ModelParams(arch, flat)
 
 
-def _stack(x: Tensor, layers: list, activation: str) -> Tensor:
-    h = x
-    last = len(layers) - 1
+def _stack(h, flat: list, lo: int, hi: int, activation: str) -> Tensor:
+    """The affine layers whose (weight, bias) are flat[lo:hi], with ReLU
+    between consecutive layers under the relu activation."""
     use_relu = activation == "relu"
-    for i, (w, b) in enumerate(layers):
-        h = affine(h, w, b)
-        if use_relu and i != last:
+    for i in range(lo, hi, 2):
+        if use_relu and i != lo:
             h = relu(h)
+        h = affine(h, flat[i], flat[i + 1])
     return h
 
 
@@ -155,11 +161,12 @@ def encode(x, params: ModelParams) -> Tensor:
             raise DimensionError(
                 f"forward: input width {shape[1]} does not match arch input {params.arch.input_width}"
             )
-    return _stack(x, params.encoder_layers, params.arch.activation)
+    return _stack(x, params.flat, 0, params.encoder_end, params.arch.activation)
 
 
 def forward(x, params: ModelParams) -> ForwardResult:
     """Run encoder then projector on a flattened Bxin batch, or on a
     sequence of them stacked as row blocks."""
     y = encode(x, params)
-    return ForwardResult(y=y, z=_stack(y, params.projector_layers, params.arch.activation))
+    return ForwardResult(y=y, z=_stack(y, params.flat, params.encoder_end, len(params.flat),
+                                       params.arch.activation))

@@ -34,6 +34,10 @@ CHECKPOINT_VERSION = 1
 METRICS_COLUMNS = ("step", "epoch", "lambda", "l_bt_inv", "l_bt_rr", "l_vrt", "l_con", "total")
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+# the arrays stored per parameter, in file order, each as "<kind>:<name>"
+_ARRAY_KINDS = ("param", "adam_m", "adam_v")
+# AdamState's scalars, in the order the metadata stores them
+_ADAM_SCALARS = ("t", "lr", "weight_decay", "beta1", "beta2", "eps")
 
 
 @dataclass
@@ -125,7 +129,6 @@ def adam_step(params: ModelParams, grads: list, state: AdamState) -> tuple[Model
 
 @dataclass
 class Checkpoint:
-    arch: Arch
     params: ModelParams
     adam: AdamState
     epoch: int
@@ -145,24 +148,15 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         raise ContractError(f"checkpoint dtype must be one of {sorted(_DTYPES)}, got {ckpt.dtype!r}")
     dt = _DTYPES[ckpt.dtype]
     names = ckpt.params.names()
-    tensors = ckpt.params.tensors()
-    arrays = [(f"param:{n}", t.data) for n, t in zip(names, tensors)]
-    arrays += [(f"adam_m:{n}", a) for n, a in zip(names, ckpt.adam.m)]
-    arrays += [(f"adam_v:{n}", a) for n, a in zip(names, ckpt.adam.v)]
+    groups = ([t.data for t in ckpt.params.tensors()], ckpt.adam.m, ckpt.adam.v)
+    arrays = [(f"{kind}:{n}", a) for kind, group in zip(_ARRAY_KINDS, groups) for n, a in zip(names, group)]
     meta = {
         "dtype": ckpt.dtype,
         "epoch": ckpt.epoch,
         "seed": ckpt.seed,
         "config": ckpt.config_text,
-        "arch": ckpt.arch.to_dict(),
-        "adam": {
-            "t": ckpt.adam.t,
-            "lr": ckpt.adam.lr,
-            "weight_decay": ckpt.adam.weight_decay,
-            "beta1": ckpt.adam.beta1,
-            "beta2": ckpt.adam.beta2,
-            "eps": ckpt.adam.eps,
-        },
+        "arch": ckpt.params.arch.to_dict(),
+        "adam": {key: getattr(ckpt.adam, key) for key in _ADAM_SCALARS},
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(meta).encode("utf-8")
@@ -192,7 +186,7 @@ def _check_meta(path: str, meta) -> None:
     for key in ("epoch", "seed"):
         require(type(meta.get(key)) is int, f"needs an integer {key!r}")
     for key, names in (("arch", ("input_width", "encoder", "projector", "activation")),
-                       ("adam", ("t", "lr", "weight_decay", "beta1", "beta2", "eps"))):
+                       ("adam", _ADAM_SCALARS)):
         require(isinstance(meta.get(key), dict) and set(names) <= meta[key].keys(),
                 f"needs an {key!r} object with keys {', '.join(names)}")
     require(isinstance(meta.get("arrays"), list), "needs an 'arrays' list")
@@ -246,40 +240,24 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     try:
         arch = Arch.from_dict(meta["arch"])
-        a = meta["adam"]
-        adam = AdamState(
-            lr=float(a["lr"]),
-            weight_decay=float(a["weight_decay"]),
-            t=int(a["t"]),
-            beta1=float(a["beta1"]),
-            beta2=float(a["beta2"]),
-            eps=float(a["eps"]),
-        )
+        adam = AdamState(**{key: (int if key == "t" else float)(meta["adam"][key]) for key in _ADAM_SCALARS})
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad metadata value ({exc})") from exc
-    # every shape is checked against the arch before anything is built from it
-    layers = {"encoder": [], "projector": []}
-    for stack, dims in (("encoder", arch.encoder_dims()), ("projector", arch.projector_dims())):
-        for i, (din, dout) in enumerate(dims):
-            pair = []
-            for part, shape in (("weight", (din, dout)), ("bias", (dout,))):
-                name = f"{stack}.{i}.{part}"
-                for key in (f"param:{name}", f"adam_m:{name}", f"adam_v:{name}"):
-                    if key not in values:
-                        raise FormatError(f"{path}: missing array {key!r}")
-                    if values[key].shape != shape:
-                        raise ArchMismatchError(
-                            f"{path}: array {key!r} has shape {list(values[key].shape)}, "
-                            f"arch expects {list(shape)}"
-                        )
-                pair.append(Tensor(values[f"param:{name}"]))
-                adam.m.append(values[f"adam_m:{name}"])
-                adam.v.append(values[f"adam_v:{name}"])
-            layers[stack].append(tuple(pair))
-    params = ModelParams(arch, layers["encoder"], layers["projector"])
+    # every shape is checked against the arch before the model is built
+    groups = ([], adam.m, adam.v)
+    for name, shape in arch.param_shapes():
+        for kind, group in zip(_ARRAY_KINDS, groups):
+            key = f"{kind}:{name}"
+            if key not in values:
+                raise FormatError(f"{path}: missing array {key!r}")
+            if values[key].shape != shape:
+                raise ArchMismatchError(
+                    f"{path}: array {key!r} has shape {list(values[key].shape)}, "
+                    f"arch expects {list(shape)}"
+                )
+            group.append(values[key])
     return Checkpoint(
-        arch=arch,
-        params=params,
+        params=ModelParams(arch, [Tensor(a) for a in groups[0]]),
         adam=adam,
         epoch=meta["epoch"],
         seed=meta["seed"],
@@ -290,9 +268,9 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def check_resume(resume: Checkpoint, arch: Arch, epochs: int) -> None:
     """A resume checkpoint must hold `arch` and leave epochs to run."""
-    if resume.arch != arch:
+    if resume.params.arch != arch:
         raise ArchMismatchError(
-            f"resume checkpoint arch {resume.arch.to_dict()} does not match config arch {arch.to_dict()}"
+            f"resume checkpoint arch {resume.params.arch.to_dict()} does not match config arch {arch.to_dict()}"
         )
     if resume.epoch >= epochs:
         raise ContractError(
@@ -354,7 +332,7 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
     steps_per_epoch = len(dataset) // cfg.batch_size
     rows: list[dict] = []
     ckpt = Checkpoint(
-        arch=arch, params=params, adam=adam, epoch=start_epoch - 1,
+        params=params, adam=adam, epoch=start_epoch - 1,
         seed=cfg.seed, config_text=cfg.render(), dtype=cfg.checkpoint_dtype,
     )
 

@@ -186,7 +186,7 @@ def default_run():
 def _untrained(cfg, train_ds):
     arch = cfg.arch_for(train_ds.input_width)
     init_only = init_params(arch, seed=cfg.seed)
-    return Checkpoint(arch=arch, params=init_only,
+    return Checkpoint(params=init_only,
                       adam=AdamState.for_params(init_only, cfg.lr, 0.0), epoch=0, seed=cfg.seed)
 
 

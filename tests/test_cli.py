@@ -126,6 +126,16 @@ class TestPretrainCommand:
         assert len(err) == 1 and "at epoch 1 and epochs=1: no epochs left" in err[0], err
         assert not out.exists()
 
+    def test_fresh_run_removes_an_earlier_runs_snapshots(self, tmp_path):
+        out = pretrain_once(tmp_path, "D", ["--set", "epochs=4", "--set", "save_every=2"])
+        assert {"checkpoint_epoch0002.tmx", "checkpoint_epoch0004.tmx"} <= set(os.listdir(out))
+        for name in ("notes.txt", "checkpoint_epoch2.tmx"):  # not names pretrain writes
+            open(f"{out}/{name}", "w").close()
+        pretrain_once(tmp_path, "D", ["--set", "epochs=1", "--set", "save_every=0", "--set", "seed=3"])
+        assert sorted(os.listdir(out)) == ["checkpoint.tmx", "checkpoint_epoch2.tmx", "metrics.csv",
+                                           "notes.txt", "resolved_config_pretrain.txt"]
+        assert len(open(f"{out}/metrics.csv").read().splitlines()) == 1 + 6
+
     @pytest.mark.parametrize("setting, reason", [
         ("synthetic_noise=-0.1", "noise must be >= 0"),
         ("synthetic_background=-1", "background must be >= 0"),

@@ -55,7 +55,7 @@ def workdir(tmp_path_factory):
 def checkpoint_bytes(workdir):
     arch = Arch(input_width=4, encoder=(3,), projector=(2, 2))
     params = init_params(arch, seed=1)
-    ckpt = Checkpoint(arch=arch, params=params, adam=AdamState.for_params(params, 1e-3, 0.0),
+    ckpt = Checkpoint(params=params, adam=AdamState.for_params(params, 1e-3, 0.0),
                       epoch=2, seed=1, config_text="seed=1\n")
     path = str(workdir / "valid.tmx")
     save_checkpoint(path, ckpt)

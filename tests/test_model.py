@@ -1,4 +1,6 @@
 """Encoder/projector stack: init statistics, forward semantics, purity."""
+import json
+import math
 import os
 import pathlib
 import subprocess
@@ -13,19 +15,33 @@ from trimix import oracle
 from trimix.errors import ContractError, DimensionError
 from trimix.model import Arch, ModelParams, encode, forward, init_params
 from trimix.tensor import Tape, Tensor, backward
+from trimix.train import AdamState, Checkpoint, save_checkpoint
+
+# input width, encoder, projector
+ARCHS = {
+    "default": (256, (128, 64), (64, 64, 32)),  # the shipped config, 16x16 inputs
+    "pretrain_wide": (784, (512, 256), (256, 256, 128)),
+    "gradcheck_small": (256, (16, 8), (8, 8, 8)),
+}
 
 
 class TestArch:
     def test_param_count_formula(self):
         arch = Arch(input_width=4, encoder=(8, 8), projector=(4,))
-        encoder_count = sum(din * dout + dout for din, dout in arch.encoder_dims())
+        encoder_count = sum(math.prod(shape) for name, shape in arch.param_shapes()
+                            if name.startswith("encoder."))
         assert encoder_count == 4 * 8 + 8 + 8 * 8 + 8 == 112
         assert arch.param_count() == 112 + 8 * 4 + 4
 
     def test_default_shape_chain(self):
         arch = Arch(input_width=256)
-        assert arch.encoder_dims() == [(256, 128), (128, 64)]
-        assert arch.projector_dims() == [(64, 64), (64, 64), (64, 32)]
+        assert arch.param_shapes() == [
+            ("encoder.0.weight", (256, 128)), ("encoder.0.bias", (128,)),
+            ("encoder.1.weight", (128, 64)), ("encoder.1.bias", (64,)),
+            ("projector.0.weight", (64, 64)), ("projector.0.bias", (64,)),
+            ("projector.1.weight", (64, 64)), ("projector.1.bias", (64,)),
+            ("projector.2.weight", (64, 32)), ("projector.2.bias", (32,)),
+        ]
         assert arch.representation_width == 64
 
     def test_bad_widths_rejected(self):
@@ -135,7 +151,7 @@ class TestForward:
         params = init_params(arch, seed=10)
         x = Tensor(rng_for(35).normal(size=(6, 5)))
         tape = Tape()
-        encoder_only = ModelParams(arch, params.attach(tape).encoder_layers)
+        encoder_only = ModelParams(arch, params.attach(tape).tensors()[:2 * len(arch.encoder)])
         y = encode(x, encoder_only)
         np.testing.assert_array_equal(y.data, forward(x, params).y.data)
         assert [n.kind for n in tape.nodes if n.kind != "leaf"] == ["affine", "relu", "affine"]
@@ -152,6 +168,41 @@ class TestForward:
         assert len(names) == len(params.tensors())
         assert names[0] == "encoder.0.weight"
         assert names[-1] == "projector.0.bias"
+
+
+class TestParamTable:
+    """`Arch.param_shapes()` names, shapes and orders the parameters for
+    init, checkpoints and the encoder-only prefix alike."""
+
+    @pytest.mark.parametrize("name", sorted(ARCHS))
+    def test_table_matches_init(self, name):
+        arch = Arch(*ARCHS[name])
+        params = init_params(arch, seed=0)
+        assert arch.param_shapes() == [(n, t.data.shape) for n, t in zip(params.names(), params.tensors())]
+        assert len(params.names()) == len(params.tensors())
+        assert arch.param_count() == sum(t.data.size for t in params.tensors())
+
+    @pytest.mark.parametrize("name", sorted(ARCHS))
+    def test_table_matches_checkpoint_index(self, name, tmp_path):
+        arch = Arch(*ARCHS[name])
+        params = init_params(arch, seed=0)
+        path = str(tmp_path / "c.tmx")
+        save_checkpoint(path, Checkpoint(params=params, adam=AdamState.for_params(params, 1e-3, 0.0),
+                                         epoch=0, seed=0))
+        with open(path, "rb") as f:
+            raw = f.read()
+        meta = json.loads(raw[12:12 + int.from_bytes(raw[8:12], "little")])
+        index = [(e["name"][len("param:"):], tuple(e["shape"]))
+                 for e in meta["arrays"] if e["name"].startswith("param:")]
+        assert index == arch.param_shapes()
+
+    @pytest.mark.parametrize("name", sorted(ARCHS))
+    def test_encoder_prefix_encodes_to_forward_y(self, name):
+        arch = Arch(*ARCHS[name])
+        params = init_params(arch, seed=1)
+        x = Tensor(rng_for(36).uniform(size=(8, arch.input_width)))
+        prefix = ModelParams(arch, params.tensors()[:2 * len(arch.encoder)])
+        assert encode(x, prefix).data.tobytes() == forward(x, params).y.data.tobytes()
 
 
 def test_model_params_copy_is_deep():

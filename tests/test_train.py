@@ -184,7 +184,7 @@ class TestCheckpoint:
         adam = AdamState.for_params(params, lr=1e-3, weight_decay=1e-6)
         adam.t = 17
         adam.m = [np.random.default_rng(1).normal(size=a.shape) for a in adam.m]
-        return Checkpoint(arch=arch, params=params, adam=adam, epoch=5, seed=seed,
+        return Checkpoint(params=params, adam=adam, epoch=5, seed=seed,
                           config_text="seed=3\n", dtype=dtype)
 
     def test_round_trip_f64_bit_exact(self, tmp_path):
