@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="config file (flat key=value)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
-        p.add_argument("--out", help="output directory (defaults to config out_dir)")
+        p.add_argument("--out", default="runs/trimix", help="output directory (default: %(default)s)")
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="checkpoint file to load")
 
@@ -57,8 +57,6 @@ def resolve_config(args) -> TriMixConfig:
             raise ContractError(f"--set expects KEY=VALUE, got {item!r}")
         name, raw = item.split("=", 1)
         apply_setting(cfg, name, raw)
-    if args.out:
-        cfg.out_dir = args.out
     return cfg.validate()
 
 
@@ -78,19 +76,19 @@ def load_split(cfg: TriMixConfig, split: str) -> data.Dataset:
     return data.load_idx(*paths) if cfg.dataset == "idx" else data.load_csv(*paths)
 
 
-def write_snapshot(cfg: TriMixConfig, command: str) -> None:
-    """One snapshot per command so runs sharing an out dir never clobber
-    each other's provenance; replaying a snapshot reproduces that run."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, f"resolved_config_{command}.txt"), "w") as f:
+def write_snapshot(args, cfg: TriMixConfig) -> None:
+    """One snapshot per command in `--out`, so runs sharing an out dir never
+    clobber each other's provenance; replaying a snapshot reproduces that run."""
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, f"resolved_config_{args.command}.txt"), "w") as f:
         f.write(cfg.render())
 
 
-def publish_report(cfg: TriMixConfig, command: str, report: evaluation.EvalReport) -> int:
+def publish_report(args, cfg: TriMixConfig, report: evaluation.EvalReport) -> int:
     """Write the command's snapshot, append the report to reports.csv and
     print it; returns exit code 0."""
-    write_snapshot(cfg, command)
-    path = os.path.join(cfg.out_dir, "reports.csv")
+    write_snapshot(args, cfg)
+    path = os.path.join(args.out, "reports.csv")
     fresh = not os.path.exists(path)
     with open(path, "a") as f:
         if fresh:
@@ -119,24 +117,24 @@ def cmd_pretrain(args) -> int:
 
     A resumed run's metrics.csv holds only the steps it runs, so it must
     not replace the one an earlier run left in `--out`."""
-    cfg = resolve_config(args)
+    cfg, out = resolve_config(args), args.out
     resume = load_checkpoint(args.resume) if args.resume else None
     train_ds = load_split(cfg, "train")
     if resume is not None:
         check_resume(resume, cfg.arch_for(train_ds.input_width), cfg.epochs)
-        metrics = os.path.join(cfg.out_dir, "metrics.csv")
+        metrics = os.path.join(out, "metrics.csv")
         if os.path.exists(metrics):
             raise ContractError(f"{metrics} already exists; resume into a fresh --out")
     data.check_batch_size(len(train_ds), cfg.batch_size)
-    if resume is None and os.path.isdir(cfg.out_dir):
+    if resume is None and os.path.isdir(out):
         # a fresh run replaces what an earlier one left: its snapshots too
-        for name in os.listdir(cfg.out_dir):
+        for name in os.listdir(out):
             if re.fullmatch(r"checkpoint_epoch\d{4,}\.tmx", name):
-                os.remove(os.path.join(cfg.out_dir, name))
-    write_snapshot(cfg, "pretrain")
-    ckpt, rows = pretrain(cfg, train_ds, out_dir=cfg.out_dir, resume=resume)
+                os.remove(os.path.join(out, name))
+    write_snapshot(args, cfg)
+    ckpt, rows = pretrain(cfg, train_ds, out_dir=out, resume=resume)
     last = rows[-1] if rows else None
-    print(f"pretrained {ckpt.epoch} epochs, {len(rows)} steps logged to {cfg.out_dir}/metrics.csv")
+    print(f"pretrained {ckpt.epoch} epochs, {len(rows)} steps logged to {out}/metrics.csv")
     if last is not None:
         print(f"final step loss: total {last['total']:.6f} "
               f"(bt {last['l_bt_inv'] + cfg.alpha * last['l_bt_rr']:.6f}, "
@@ -157,18 +155,18 @@ def _load_for_eval(args, splits=("train", "test")) -> tuple[TriMixConfig, Checkp
 def cmd_knn(args) -> int:
     cfg, ckpt, datasets, digest = _load_for_eval(args)
     train_bank, test_bank = (evaluation.extract_features(ckpt, ds) for ds in datasets)
-    return publish_report(cfg, "knn", evaluation.knn_eval(train_bank, test_bank, cfg.knn_k, digest))
+    return publish_report(args, cfg, evaluation.knn_eval(train_bank, test_bank, cfg.knn_k, digest))
 
 
 def cmd_probe(args) -> int:
     cfg, ckpt, datasets, digest = _load_for_eval(args)
     train_bank, test_bank = (evaluation.extract_features(ckpt, ds) for ds in datasets)
-    return publish_report(cfg, "probe", evaluation.linear_probe(train_bank, test_bank, _probe_cfg(cfg), digest))
+    return publish_report(args, cfg, evaluation.linear_probe(train_bank, test_bank, _probe_cfg(cfg), digest))
 
 
 def cmd_finetune(args) -> int:
     cfg, ckpt, (train_ds, test_ds), digest = _load_for_eval(args)
-    return publish_report(cfg, "finetune", evaluation.finetune_semi(
+    return publish_report(args, cfg, evaluation.finetune_semi(
         ckpt, train_ds, test_ds, cfg.finetune_fraction, _probe_cfg(cfg), digest
     ))
 
@@ -176,8 +174,8 @@ def cmd_finetune(args) -> int:
 def cmd_export(args) -> int:
     cfg, ckpt, (ds,), _ = _load_for_eval(args, (args.split,))
     bank = evaluation.extract_features(ckpt, ds, l2_normalize=False)
-    write_snapshot(cfg, "export-embeddings")
-    path = os.path.join(cfg.out_dir, f"embeddings_{args.split}.csv")
+    write_snapshot(args, cfg)
+    path = os.path.join(args.out, f"embeddings_{args.split}.csv")
     with open(path, "w") as f:
         f.write("label," + ",".join(f"y{i}" for i in range(bank.features.shape[1])) + "\n")
         for label, row in zip(bank.labels, bank.features):
@@ -321,14 +319,18 @@ COMMANDS = {
 
 
 def run(argv=None) -> int:
+    """Run one command; every failure, a refused allocation too, is one
+    `error:` line.  Floating-point warnings are silenced: the tape's
+    finiteness checks report a diverging run."""
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](args)
     except TriMixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -22,8 +22,6 @@ class TriMixConfig:
     tau: float = 2.0
     lambda_policy: str = "uniform"  # "uniform" | "fixed"
     lambda_fixed: float = 0.5
-    enable_vrt: bool = True
-    enable_con: bool = True
     enable_feature_norm: bool = True
     normalize_on: bool = True
     allow_degenerate: bool = False
@@ -68,35 +66,26 @@ class TriMixConfig:
     probe_weight_decay: float = 1e-6
     probe_batch: int = 64
     finetune_fraction: float = 1.0
-    # output
-    out_dir: str = "runs/trimix"
 
     def validate(self) -> "TriMixConfig":
         for f in fields(self):
             if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
                 raise ContractError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.seed < 0:
-            raise ContractError(f"seed must be non-negative, got {self.seed}")
-        if self.epochs < 1:
-            raise ContractError(f"epochs must be at least 1, got {self.epochs}")
-        if self.lr <= 0:
-            raise ContractError(f"lr must be positive, got {self.lr}")
-        if self.beta < 0 or self.gamma < 0:
-            raise ContractError("beta and gamma must be non-negative")
-        if self.tau <= 0:
-            raise ContractError(f"tau must be positive, got {self.tau}")
+        for names, ok, rule in (
+            (("seed",), lambda v: v >= 0, "must be non-negative"),
+            (("epochs", "probe_epochs", "knn_k"), lambda v: v >= 1, "must be at least 1"),
+            (("lr", "probe_lr", "tau"), lambda v: v > 0, "must be positive"),
+            (("alpha", "beta", "gamma"), lambda v: v >= 0, "is a loss weight and must be non-negative"),
+        ):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ContractError(f"{name} {rule}, got {getattr(self, name)}")
         for name in ("batch_size", "probe_batch"):
             size = getattr(self, name)
             if size % 2 != 0:
                 raise BatchParityError(f"{name} {size} is odd; batches must be even-sized")
             if size < 2:
                 raise ContractError(f"{name} must be at least 2, got {size}")
-        if self.probe_epochs < 1:
-            raise ContractError(f"probe_epochs must be at least 1, got {self.probe_epochs}")
-        if self.probe_lr <= 0:
-            raise ContractError(f"probe_lr must be positive, got {self.probe_lr}")
-        if self.knn_k < 1:
-            raise ContractError(f"knn_k must be at least 1, got {self.knn_k}")
         if not 0.0 < self.finetune_fraction <= 1.0:
             raise ContractError(f"finetune_fraction must lie in (0, 1], got {self.finetune_fraction}")
         if self.placement not in PLACEMENTS:
@@ -159,6 +148,10 @@ class TriMixConfig:
 
 _FIELDS = {f.name: f for f in fields(TriMixConfig)}
 
+# keys of earlier versions, each with what replaced it
+REMOVED_KEYS = {"out_dir": "--out sets the output directory", "enable_vrt": "beta=0 switches the term off",
+                "enable_con": "gamma=0 switches the term off"}
+
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
@@ -206,6 +199,8 @@ def apply_setting(cfg: TriMixConfig, name: str, raw: str) -> None:
         cfg.lambda_policy = raw
         return
     if name not in _FIELDS:
+        if name in REMOVED_KEYS:
+            raise ContractError(f"config key {name!r} was removed: {REMOVED_KEYS[name]}")
         raise ContractError(f"unknown config key {name!r}")
     setattr(cfg, name, _parse_value(name, raw))
 

@@ -86,6 +86,8 @@ class ModelParams:
         # the encoder/projector split, computed once: the forward pass
         # indexes `flat` and builds no per-call lists
         self.encoder_end = 2 * len(self.arch.encoder)
+        if len(self.flat) not in (self.encoder_end, self.encoder_end + 2 * len(self.arch.projector)):
+            raise ContractError(f"model params: {len(self.flat)} tensors fit neither the arch nor its encoder")
 
     def tensors(self) -> list[Tensor]:
         return list(self.flat)
@@ -167,6 +169,8 @@ def encode(x, params: ModelParams) -> Tensor:
 def forward(x, params: ModelParams) -> ForwardResult:
     """Run encoder then projector on a flattened Bxin batch, or on a
     sequence of them stacked as row blocks."""
+    if len(params.flat) == params.encoder_end:
+        raise ContractError("forward: the parameter set is encoder-only; it has no projector")
     y = encode(x, params)
     return ForwardResult(y=y, z=_stack(y, params.flat, params.encoder_end, len(params.flat),
                                        params.arch.activation))

@@ -215,13 +215,11 @@ def trimix_step_loss(views, params: ModelParams, cfg, lam: float, trace: dict | 
         z_tilde = mixup(c_base, lam)
         l_con_t = loss_con(z_tilde, c_virt)
 
-    beta = cfg.beta if cfg.enable_vrt else 0.0
-    gamma = cfg.gamma if cfg.enable_con else 0.0
     total = l_bt
-    if beta != 0.0:
-        total = add(total, scalar_mul(l_vrt_t, beta))
-    if gamma != 0.0:
-        total = add(total, scalar_mul(l_con_t, gamma))
+    if cfg.beta != 0.0:
+        total = add(total, scalar_mul(l_vrt_t, cfg.beta))
+    if cfg.gamma != 0.0:
+        total = add(total, scalar_mul(l_con_t, cfg.gamma))
 
     if trace is not None:
         trace.update(

@@ -208,7 +208,7 @@ def _batched_objective(z, z_p, y, z_v, y_v, cfg, lam: float) -> np.ndarray:
         return v
 
     vrt_level, con_level = cfg.placement[0], cfg.placement[1]
-    if cfg.enable_vrt and cfg.beta != 0.0:
+    if cfg.beta != 0.0:
         virt = virtual(vrt_level)
         m = base(vrt_level) @ np.swapaxes(virt, -1, -2) / virt.shape[-1]
         scaled = m / cfg.tau
@@ -217,7 +217,7 @@ def _batched_objective(z, z_p, y, z_v, y_v, cfg, lam: float) -> np.ndarray:
         eye = np.eye(batch)
         gt = lam * eye + (1.0 - lam) * eye[::-1]
         total = total + np.abs(m_soft - gt).mean(axis=(-2, -1)) * cfg.beta
-    if cfg.enable_con and cfg.gamma != 0.0:
+    if cfg.gamma != 0.0:
         con_base = base(con_level)
         z_tilde = lam * con_base + (1.0 - lam) * con_base[..., ::-1, :]
         total = total + np.abs(z_tilde - virtual(con_level)).mean(axis=(-2, -1)) * cfg.gamma
@@ -232,12 +232,12 @@ def objective_finite_diff(x, x_prime, encoder: list, projector: list, cfg, lam: 
     `x`, `x_prime` are the flattened BxIn views; `encoder` and `projector`
     are lists of (weight, bias) arrays with weights laid out for x @ W.
     `cfg` supplies the objective settings (alpha, beta, gamma, tau,
-    placement, normalize_on, enable_feature_norm, enable_vrt, enable_con,
-    allow_degenerate, activation) and `lam` is the mixing factor.  The
-    objective is re-derived here from the README: ReLU after every layer
-    but the last of each stack, population-std standardization,
-    divide-by-count correlations, temperature row softmax, the lam/1-lam
-    ground truth and the L1 terms.
+    placement, normalize_on, enable_feature_norm, allow_degenerate,
+    activation; a zero beta or gamma leaves its term out) and `lam` is the
+    mixing factor.  The objective is re-derived here from the README: ReLU
+    after every layer but the last of each stack, population-std
+    standardization, divide-by-count correlations, temperature row
+    softmax, the lam/1-lam ground truth and the L1 terms.
 
     Perturbing W_l[i, j] by +-h only shifts column j of layer l's
     pre-activation by +-h * input_l[:, i] (and b_l[j] by +-h), so each

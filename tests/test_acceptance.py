@@ -132,7 +132,7 @@ def test_criterion_5_structural_invariants():
         trials += 1
 
     # 40 trials: beta=gamma=0 gradients equal the pure redundancy-reduction graph
-    bt_cfg = small_cfg(enable_vrt=False, enable_con=False)
+    bt_cfg = small_cfg(beta=0.0, gamma=0.0)
     for case in range(40):
         views = random_views(seed=1000 + case)
         params = init_params(bt_cfg.arch_for(16), seed=case)
@@ -253,7 +253,7 @@ def test_criterion_7_ablation_direction_soft(default_run):
     outcomes = []
     for seed in (7, 8, 9):
         full_cfg = TriMixConfig(seed=seed).validate()
-        bt_cfg = TriMixConfig(seed=seed, enable_vrt=False, enable_con=False).validate()
+        bt_cfg = TriMixConfig(seed=seed, beta=0.0, gamma=0.0).validate()
         if full_cfg == default_run[0]:
             train_ds, test_ds, full_ckpt = default_run[1:4]
         else:

@@ -2,17 +2,19 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import trimix
 from trimix import data
-from trimix.cli import run
+from trimix.cli import build_parser, run
 from trimix.config import load_config
 from trimix.train import pretrain
 
@@ -51,10 +53,11 @@ class TestPretrainCommand:
         code = run(["pretrain", "--config", f"{out_a}/resolved_config_pretrain.txt", "--out", out_b])
         assert code == 0
         assert open(f"{out_a}/metrics.csv").read() == open(f"{out_b}/metrics.csv").read()
-        ckpt_a = open(f"{out_a}/checkpoint.tmx", "rb").read()
-        ckpt_b = open(f"{out_b}/checkpoint.tmx", "rb").read()
-        # metadata differs only in the out_dir line of the embedded config
-        assert len(ckpt_a) == len(ckpt_b)
+        # the embedded config leaves out where the run was written
+        assert open(f"{out_a}/checkpoint.tmx", "rb").read() == open(f"{out_b}/checkpoint.tmx", "rb").read()
+
+    def test_out_defaults_to_runs_trimix(self):
+        assert build_parser().parse_args(["pretrain"]).out == "runs/trimix"
 
     def test_odd_batch_exits_one_and_names_rule(self, tmp_path, capsys):
         code = run(["pretrain", "--set", "batch_size=63", "--out", str(tmp_path / "x")])
@@ -65,6 +68,25 @@ class TestPretrainCommand:
         code = run(["pretrain", "--set", "bogus=1", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["set", "config"])
+    @pytest.mark.parametrize("key, replacement", [
+        ("out_dir", "--out"), ("enable_vrt", "beta=0"), ("enable_con", "gamma=0"),
+    ])
+    def test_removed_key_exits_one_naming_its_replacement(self, tmp_path, capsys, key, replacement, via):
+        setting = f"{key}={'runs/old' if key == 'out_dir' else 'false'}"
+        if via == "set":
+            source = ["--set", setting]
+        else:
+            (tmp_path / "old.cfg").write_text(f"seed=7\n{setting}\n")
+            source = ["--config", str(tmp_path / "old.cfg")]
+        out = tmp_path / "x"
+        code = run(["pretrain", *FAST_OVERRIDES, *source, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert f"{key!r} was removed" in err[0] and replacement in err[0], err
+        assert not out.exists()
 
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
         code = run(["pretrain", "--config", str(tmp_path / "nope.cfg")])
@@ -262,6 +284,15 @@ class TestEvalCommands:
         assert reports[0] == "protocol,top1,n,config_digest"
         assert len(reports) == 4  # knn, probe, finetune
 
+    def test_out_does_not_change_the_printed_digest(self, tmp_path, capsys):
+        outs = [pretrain_once(tmp_path, name) for name in ("a", "b")]
+        capsys.readouterr()
+        digests = set()
+        for out in outs:
+            assert run(["knn", *FAST_OVERRIDES, "--checkpoint", f"{out}/checkpoint.tmx", "--out", out]) == 0
+            digests.add(re.search(r"\(config (\w+)\)", capsys.readouterr().out).group(1))
+        assert len(digests) == 1
+
     @pytest.mark.parametrize("command, extra, reason", [
         ("knn", [], "input width 256"),
         ("probe", [], "input width 256"),
@@ -425,9 +456,30 @@ def test_numeric_failures_exit_two(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "l_vrt" in err and "step 0" in err
 
+def test_diverging_run_prints_only_its_error_line(tmp_path, capsys):
+    # the overflow that numpy would warn about is reported by the
+    # finiteness checks alone
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["pretrain", *FAST_OVERRIDES, "--set", "lr=1e300", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0], err
+
+
+def test_unallocatable_dataset_is_one_error_line(tmp_path, capsys):
+    # 10^11 16x16 images: numpy refuses the 186 TiB array before touching memory
+    code = run(["pretrain", "--set", "synthetic_train=100000000000", "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "allocate" in err[0], err
+    assert not (tmp_path / "x").exists()
+
+
 def test_pretrain_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """Three default-config epochs under 1 and 2 BLAS threads, same --out
-    path (the checkpoint embeds it): metrics and checkpoint bytes agree."""
+    """Three default-config epochs under 1 and 2 BLAS threads: metrics and
+    checkpoint bytes agree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(trimix.__file__)))
     out = str(tmp_path / "run")
     outputs = []

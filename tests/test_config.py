@@ -29,7 +29,14 @@ def test_unknown_key_rejected():
 
 def test_bad_boolean_rejected():
     with pytest.raises(ContractError, match="boolean"):
-        parse_config("enable_vrt=maybe\n")
+        parse_config("enable_feature_norm=maybe\n")
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+def test_negative_loss_weight_rejected(name):
+    with pytest.raises(ContractError, match=rf"^{name} is a loss weight and must be non-negative, got -1.0$"):
+        parse_config(f"{name}=-1\n").validate()
+    parse_config(f"{name}=0\n").validate()  # zero leaves the term out
 
 
 def test_missing_equals_rejected():

@@ -13,7 +13,10 @@ from conftest import contract, rng_for
 import trimix
 from trimix import oracle
 from trimix.errors import ContractError, DimensionError
+from trimix.config import TriMixConfig
+from trimix.data import AugmentPolicy, two_views
 from trimix.model import Arch, ModelParams, encode, forward, init_params
+from trimix.objective import trimix_step_loss
 from trimix.tensor import Tape, Tensor, backward
 from trimix.train import AdamState, Checkpoint, save_checkpoint
 
@@ -155,6 +158,19 @@ class TestForward:
         y = encode(x, encoder_only)
         np.testing.assert_array_equal(y.data, forward(x, params).y.data)
         assert [n.kind for n in tape.nodes if n.kind != "leaf"] == ["affine", "relu", "affine"]
+
+    def test_encoder_only_set_has_no_forward(self):
+        arch = Arch(input_width=4, encoder=(3,), projector=(2,))
+        params = init_params(arch, seed=11)
+        x = Tensor(rng_for(37).normal(size=(4, 4)))
+        encoder_only = ModelParams(arch, params.tensors()[:2])
+        with pytest.raises(ContractError, match="encoder-only"):
+            forward(x, encoder_only)
+        with pytest.raises(ContractError, match="encoder-only"):
+            trimix_step_loss(two_views(x.data.reshape(4, 1, 2, 2), AugmentPolicy(), 0),
+                             encoder_only, TriMixConfig(), 0.5)
+        with pytest.raises(ContractError, match="3 tensors fit neither"):
+            ModelParams(arch, params.tensors()[:3])
 
     def test_attach_shares_storage(self):
         params = init_params(Arch(input_width=3, encoder=(2,), projector=(2,)), seed=2)

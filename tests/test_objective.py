@@ -266,7 +266,7 @@ class TestStepLoss:
         assert np.array_equal(trace["x_vrt"], views.x.reshape(8, -1)[::-1])
 
     def test_bt_only_totals_and_gradients_match_pure_bt_graph(self):
-        cfg = small_cfg(enable_vrt=False, enable_con=False)
+        cfg = small_cfg(beta=0.0, gamma=0.0)
         params = init_params(cfg.arch_for(16), seed=7)
         views = make_views(seed=7)
 

@@ -156,8 +156,8 @@ class TestObjectiveFiniteDiff:
         dict(placement="ZY"),
         dict(enable_feature_norm=False),
         dict(normalize_on=False, activation="identity"),
-        dict(enable_vrt=False),
-        dict(enable_con=False),
+        dict(beta=0.0),
+        dict(gamma=0.0),
     ], ids=["ZZ", "YY", "ZY", "no-feature-norm", "no-normalize-identity", "no-vrt", "no-con"])
     def test_matches_scalar_finite_diff(self, overrides):
         cfg, views, params = self.setup_case(seed=3, **overrides)

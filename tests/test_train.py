@@ -290,7 +290,7 @@ class TestPretrain:
         assert csv_a.splitlines()[0] == "step,epoch,lambda,l_bt_inv,l_bt_rr,l_vrt,l_con,total"
 
     def test_bt_only_total_equals_bt_term_but_logs_all_columns(self, tmp_path):
-        cfg = tiny_cfg(enable_vrt=False, enable_con=False, epochs=1)
+        cfg = tiny_cfg(beta=0.0, gamma=0.0, epochs=1)
         ds = synthetic_blobs(cfg.synthetic_spec("train"))
         _, rows = pretrain(cfg, ds)
         for row in rows:
