@@ -29,11 +29,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trimix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False):
+    def common(p, checkpoint=False, writes=True):
         p.add_argument("--config", help="config file (flat key=value)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
-        p.add_argument("--out", default="runs/trimix", help="output directory (default: %(default)s)")
+        if writes:  # the verification commands only print
+            p.add_argument("--out", default="runs/trimix", help="output directory (default: %(default)s)")
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="checkpoint file to load")
 
@@ -42,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("knn", help="KNN evaluation on frozen features"), checkpoint=True)
     common(sub.add_parser("probe", help="linear probe on frozen features"), checkpoint=True)
     common(sub.add_parser("finetune", help="semi-supervised fine-tuning"), checkpoint=True)
-    common(sub.add_parser("gradcheck", help="tape gradients vs central finite differences"))
-    common(sub.add_parser("verify-oracle", help="optimized paths vs naive oracle"))
+    common(sub.add_parser("gradcheck", help="tape gradients vs central finite differences"), writes=False)
+    common(sub.add_parser("verify-oracle", help="optimized paths vs naive oracle"), writes=False)
     p = sub.add_parser("export-embeddings", help="write encoder features to CSV")
     common(p, checkpoint=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
@@ -218,12 +219,8 @@ def gradcheck(cfg: TriMixConfig, batch: int = 8, side: int = 16) -> float:
             lambda: trimix_step_loss(views, params, cfg, GRADCHECK_LAMBDA).total, flat, d))
         tape_along.append(float(tape_flat @ d))
 
-    def arrays(layers):
-        return [(w.data, b.data) for w, b in layers]
-
     _, fd_grads = oracle.objective_finite_diff(
-        views.x.reshape(batch, -1), views.x_prime.reshape(batch, -1),
-        arrays(params.encoder_layers), arrays(params.projector_layers), cfg, GRADCHECK_LAMBDA,
+        views.x.reshape(batch, -1), views.x_prime.reshape(batch, -1), flat, cfg, GRADCHECK_LAMBDA,
     )
     return max(
         oracle.max_relative_error(tape_along, along),

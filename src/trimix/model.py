@@ -104,16 +104,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.arch, [Tensor(t.data.copy()) for t in self.flat])
 
-    @property
-    def encoder_layers(self) -> list[tuple[Tensor, Tensor]]:
-        """(weight, bias) pairs, built on each read, for callers that pass
-        layers to `oracle`."""
-        return list(zip(self.flat[0:self.encoder_end:2], self.flat[1:self.encoder_end:2]))
-
-    @property
-    def projector_layers(self) -> list[tuple[Tensor, Tensor]]:
-        return list(zip(self.flat[self.encoder_end::2], self.flat[self.encoder_end + 1::2]))
-
 
 @dataclass
 class ForwardResult:
@@ -134,7 +124,7 @@ def init_params(arch: Arch, seed: int) -> ModelParams:
     return ModelParams(arch, flat)
 
 
-def _stack(h, flat: list, lo: int, hi: int, activation: str) -> Tensor:
+def _stack(h: Tensor, flat: list, lo: int, hi: int, activation: str) -> Tensor:
     """The affine layers whose (weight, bias) are flat[lo:hi], with ReLU
     between consecutive layers under the relu activation."""
     use_relu = activation == "relu"
@@ -145,30 +135,22 @@ def _stack(h, flat: list, lo: int, hi: int, activation: str) -> Tensor:
     return h
 
 
-def encode(x, params: ModelParams) -> Tensor:
-    """Encoder stack only: the representation Y of a flattened Bxin batch.
-
-    `x` may also be a sequence of off-tape batches; they share one pass as
-    row blocks of one stacked Y, in order (see `tensor.affine`).
-    """
-    if isinstance(x, Tensor):
-        batches = (x,)
-    else:
-        x = batches = tuple(x)
-    for t in batches:
-        shape = t.data.shape
-        if len(shape) != 2:
-            raise DimensionError(f"forward: expected a flattened Bxin batch, got shape {list(shape)}")
-        if shape[1] != params.arch.input_width:
-            raise DimensionError(
-                f"forward: input width {shape[1]} does not match arch input {params.arch.input_width}"
-            )
+def encode(x: Tensor, params: ModelParams) -> Tensor:
+    """Encoder stack only: the representation Y of a flattened Bxin batch,
+    or of a stack of them marked by `x.bounds` (see `tensor.affine`)."""
+    shape = x.data.shape
+    if len(shape) != 2:
+        raise DimensionError(f"forward: expected a flattened Bxin batch, got shape {list(shape)}")
+    if shape[1] != params.arch.input_width:
+        raise DimensionError(
+            f"forward: input width {shape[1]} does not match arch input {params.arch.input_width}"
+        )
     return _stack(x, params.flat, 0, params.encoder_end, params.arch.activation)
 
 
-def forward(x, params: ModelParams) -> ForwardResult:
+def forward(x: Tensor, params: ModelParams) -> ForwardResult:
     """Run encoder then projector on a flattened Bxin batch, or on a
-    sequence of them stacked as row blocks."""
+    stack of them; Y and Z keep the stack's row blocks."""
     if len(params.flat) == params.encoder_end:
         raise ContractError("forward: the parameter set is encoder-only; it has no projector")
     y = encode(x, params)

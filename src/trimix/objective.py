@@ -1,13 +1,15 @@
 """The TriMix objective.
 
 One training step mixes a view with its row-reversed batch by the
-step's mixing factor λ, pushes both views and this virtual batch through
-the network in one pass, as three row blocks of one stack, and combines
-three terms: the redundancy-reduction loss on the feature
-correlation matrix, the decomposition loss tying the sample-similarity
-matrix to its mixing ground truth, and the consistency loss tying
-virtual embeddings to the linear mix of the originals'.  The objective
-is a function of the views, the parameters and λ; the caller chooses λ.
+step's mixing factor λ, stacks both views and this virtual batch into
+one (3B, in) tensor whose `bounds` mark the three row blocks, pushes it
+through the network in one pass, and combines three terms: the
+redundancy-reduction loss on the feature correlation matrix, the
+decomposition loss tying the sample-similarity matrix to its mixing
+ground truth, and the consistency loss tying virtual embeddings to the
+linear mix of the originals'.  A non-finite value is reported with the
+name of the term it came from.  The objective is a function of the
+views, the parameters and λ; the caller chooses λ.
 """
 from __future__ import annotations
 
@@ -130,23 +132,6 @@ def loss_con(z_tilde: Tensor, z_vrt: Tensor) -> Tensor:
     return mean_abs_diff(z_tilde, z_vrt, kind="loss_con")
 
 
-class _term:
-    """Prefixes a NumericError raised in the block with the term's name."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, kind, exc, tb):
-        if kind is not None and issubclass(kind, NumericError):
-            raise NumericError(f"{self.name}: {exc}") from exc
-        return False
-
-
 def _flatten_views(views) -> tuple[Tensor, Tensor]:
     xb, xpb = views.x, views.x_prime
     if xb.shape != xpb.shape:
@@ -169,39 +154,42 @@ def trimix_step_loss(views, params: ModelParams, cfg, lam: float, trace: dict | 
     if b % 2 != 0:
         raise BatchParityError(f"trimix step: batch size {b} is odd, need an even batch")
     norm = cfg.normalize_on
+    vrt_level, con_level = cfg.placement[0], cfg.placement[1]
 
-    with _term("forward"):
+    term = "forward"  # names the term a NumericError comes from
+    try:
         # x, x' and the virtual batch share one pass as row blocks 0, 1, 2
         x_vrt = mixup(x, lam)
-        out = forward((x, xp, x_vrt), params)
+        stack = Tensor(np.concatenate((x.data, xp.data, x_vrt.data)))
+        stack.bounds = (0, b, 2 * b, 3 * b)
+        out = forward(stack, params)
         z, z_p, z_vrt = (rows(out.z, i * b, (i + 1) * b) for i in range(3))
         if "Y" in cfg.placement:
             y, y_vrt = rows(out.y, 0, b), rows(out.y, 2 * b, 3 * b)
 
-    with _term("l_bt"):
+        term = "l_bt"
         zs = standardize(z, "batch", cfg.allow_degenerate) if norm else z
         zs_p = standardize(z_p, "batch", cfg.allow_degenerate) if norm else z_p
         c = cross_correlation(zs, zs_p, "features")
         l_inv, l_rr = loss_bt(c)
         l_bt = add(l_inv, scalar_mul(l_rr, cfg.alpha))
 
-    vrt_level, con_level = cfg.placement[0], cfg.placement[1]
-    bases = {"Z": zs}
+        bases = {"Z": zs}
 
-    def base_for(level: str) -> Tensor:
-        if level not in bases:  # Y, standardized once for both terms
-            bases[level] = standardize(y, "batch", cfg.allow_degenerate) if norm else y
-        return bases[level]
+        def base_for(level: str) -> Tensor:
+            if level not in bases:  # Y, standardized once for both terms
+                bases[level] = standardize(y, "batch", cfg.allow_degenerate) if norm else y
+            return bases[level]
 
-    def virtual_for(level: str) -> Tensor:
-        v = z_vrt if level == "Z" else y_vrt
-        if norm:
-            v = standardize(v, "batch", cfg.allow_degenerate)
-            if cfg.enable_feature_norm:
-                v = standardize(v, "feature", cfg.allow_degenerate)
-        return v
+        def virtual_for(level: str) -> Tensor:
+            v = z_vrt if level == "Z" else y_vrt
+            if norm:
+                v = standardize(v, "batch", cfg.allow_degenerate)
+                if cfg.enable_feature_norm:
+                    v = standardize(v, "feature", cfg.allow_degenerate)
+            return v
 
-    with _term("l_vrt"):
+        term = "l_vrt"
         m_base = base_for(vrt_level)
         m_virt = virtual_for(vrt_level)
         m = cross_correlation(m_base, m_virt, "samples")
@@ -209,11 +197,13 @@ def trimix_step_loss(views, params: ModelParams, cfg, lam: float, trace: dict | 
         gt = ground_truth_matrix(b, lam)
         l_vrt_t = loss_vrt(m_soft, gt)
 
-    with _term("l_con"):
+        term = "l_con"
         c_base = base_for(con_level)
         c_virt = m_virt if con_level == vrt_level else virtual_for(con_level)
         z_tilde = mixup(c_base, lam)
         l_con_t = loss_con(z_tilde, c_virt)
+    except NumericError as exc:
+        raise NumericError(f"{term}: {exc}") from exc
 
     total = l_bt
     if cfg.beta != 0.0:

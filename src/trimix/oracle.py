@@ -41,42 +41,27 @@ def naive_correlation(z: np.ndarray, z2: np.ndarray, mode: str) -> np.ndarray:
     z2 = np.asarray(z2, dtype=np.float64)
     if z.shape != z2.shape or z.ndim != 2:
         raise ContractError(f"naive_correlation: need equal BxD inputs, got {z.shape} and {z2.shape}")
-    b, d = z.shape
-    if mode == "features":
-        out = np.empty((d, d))
-        for i in range(d):
-            for j in range(d):
-                num = 0.0
-                den_a = 0.0
-                den_b = 0.0
-                for s in range(b):
-                    num += z[s, i] * z2[s, j]
-                    den_a += z[s, i] ** 2
-                    den_b += z2[s, j] ** 2
-                if den_a == 0.0 or den_b == 0.0:
-                    raise DegenerateFeatureError(
-                        f"naive_correlation: zero denominator at feature pair ({i}, {j})"
-                    )
-                out[i, j] = num / (math.sqrt(den_a) * math.sqrt(den_b))
-        return out
-    if mode == "samples":
-        out = np.empty((b, b))
-        for m in range(b):
-            for n in range(b):
-                num = 0.0
-                den_a = 0.0
-                den_b = 0.0
-                for a in range(d):
-                    num += z[m, a] * z2[n, a]
-                    den_a += z[m, a] ** 2
-                    den_b += z2[n, a] ** 2
-                if den_a == 0.0 or den_b == 0.0:
-                    raise DegenerateFeatureError(
-                        f"naive_correlation: zero denominator at sample pair ({m}, {n})"
-                    )
-                out[m, n] = num / (math.sqrt(den_a) * math.sqrt(den_b))
-        return out
-    raise ContractError(f"naive_correlation: unknown mode {mode!r}")
+    if mode not in ("features", "samples"):
+        raise ContractError(f"naive_correlation: unknown mode {mode!r}")
+    if mode == "samples":  # sample pairs are the feature pairs of the transposes
+        z, z2 = z.T, z2.T
+    n, k = z.shape
+    out = np.empty((k, k))
+    for i in range(k):
+        for j in range(k):
+            num = 0.0
+            den_a = 0.0
+            den_b = 0.0
+            for s in range(n):
+                num += z[s, i] * z2[s, j]
+                den_a += z[s, i] ** 2
+                den_b += z2[s, j] ** 2
+            if den_a == 0.0 or den_b == 0.0:
+                raise DegenerateFeatureError(
+                    f"naive_correlation: zero denominator at {mode[:-1]} pair ({i}, {j})"
+                )
+            out[i, j] = num / (math.sqrt(den_a) * math.sqrt(den_b))
+    return out
 
 
 def naive_bt_terms(c: np.ndarray) -> tuple[float, float]:
@@ -224,20 +209,22 @@ def _batched_objective(z, z_p, y, z_v, y_v, cfg, lam: float) -> np.ndarray:
     return total
 
 
-def objective_finite_diff(x, x_prime, encoder: list, projector: list, cfg, lam: float,
+def objective_finite_diff(x, x_prime, params: list, cfg, lam: float,
                           h: float = 1e-5) -> tuple[float, list]:
     """Central differences of the full TriMix objective, per coordinate,
     evaluated in batches of FD_CHUNK perturbations.
 
-    `x`, `x_prime` are the flattened BxIn views; `encoder` and `projector`
-    are lists of (weight, bias) arrays with weights laid out for x @ W.
-    `cfg` supplies the objective settings (alpha, beta, gamma, tau,
-    placement, normalize_on, enable_feature_norm, allow_degenerate,
-    activation; a zero beta or gamma leaves its term out) and `lam` is the
-    mixing factor.  The objective is re-derived here from the README: ReLU
-    after every layer but the last of each stack, population-std
-    standardization, divide-by-count correlations, temperature row
-    softmax, the lam/1-lam ground truth and the L1 terms.
+    `x`, `x_prime` are the flattened BxIn views; `params` is the flat
+    list of parameter arrays, encoder layers then projector layers, each
+    weight (laid out for x @ W) then bias.  `cfg` supplies the layer
+    counts (encoder_widths, projector_widths) and the objective settings
+    (alpha, beta, gamma, tau, placement, normalize_on,
+    enable_feature_norm, allow_degenerate, activation; a zero beta or
+    gamma leaves its term out) and `lam` is the mixing factor.  The
+    objective is re-derived here from the README: ReLU after every layer
+    but the last of each stack, population-std standardization,
+    divide-by-count correlations, temperature row softmax, the lam/1-lam
+    ground truth and the L1 terms.
 
     Perturbing W_l[i, j] by +-h only shifts column j of layer l's
     pre-activation by +-h * input_l[:, i] (and b_l[j] by +-h), so each
@@ -246,7 +233,7 @@ def objective_finite_diff(x, x_prime, encoder: list, projector: list, cfg, lam: 
     layers above for x, x' and the mixed batch.
 
     Returns the unperturbed objective value and one gradient array per
-    parameter, in encoder-then-projector (weight, bias) order.
+    parameter, in the order of `params`.
     """
     x = np.asarray(x, dtype=np.float64)
     x_prime = np.asarray(x_prime, dtype=np.float64)
@@ -254,9 +241,15 @@ def objective_finite_diff(x, x_prime, encoder: list, projector: list, cfg, lam: 
         raise ContractError(
             f"objective_finite_diff: need equal BxIn views, got {x.shape} and {x_prime.shape}"
         )
-    layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
-              for w, b in [*encoder, *projector]]
-    y_layer = len(encoder) - 1
+    n_enc, n_proj = len(cfg.encoder_widths), len(cfg.projector_widths)
+    if len(params) != 2 * (n_enc + n_proj):
+        raise ContractError(
+            f"objective_finite_diff: {len(params)} arrays do not fit {n_enc} encoder and "
+            f"{n_proj} projector layers of (weight, bias)"
+        )
+    arrays = [np.asarray(p, dtype=np.float64) for p in params]
+    layers = list(zip(arrays[0::2], arrays[1::2]))
+    y_layer = n_enc - 1
     linear = {y_layer, len(layers) - 1}  # stack outputs: no activation
     relu = cfg.activation == "relu"
 

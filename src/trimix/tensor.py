@@ -16,20 +16,18 @@ tape, one node.  State that only the backward pass reads is built inside
 the op's rule, so a value computed off the tape never builds it.
 
 Several batches can share one pass through a stack of layers as row
-blocks of one tensor.  `affine` takes the first layer's off-tape batches
-as a sequence; its output remembers the block `bounds`, and `affine` and
-`relu` carry them on.  Each matrix product runs block by block, into the
-block's rows of one output: BLAS may round a row differently when the
-matrix around it has more rows, so this keeps the bytes of one pass per
-batch.  The bias add, ReLU, the finiteness check and the tape node are
-paid once for the stack.  Weight and bias gradients add last block
-first, the order a sweep adds them when each batch has its own nodes.
-`rows` splits a block back out.
+blocks of one tensor: the caller concatenates them and sets the tensor's
+block `bounds`, and `affine` and `relu` carry them on.  Each matrix
+product runs block by block, into the block's rows of one output: BLAS
+may round a row differently when the matrix around it has more rows, so
+this keeps the bytes of one pass per batch.  The bias add, ReLU, the
+finiteness check and the tape node are paid once for the stack.  Weight
+and bias gradients add last block first, the order a sweep adds them
+when each batch has its own nodes.  `rows` splits a block back out.
 """
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -237,29 +235,13 @@ def _blockwise(blocks: list, bounds: tuple, wd: Array, g: Array, dx: bool) -> tu
     return gx, gw, gb
 
 
-def affine(x, w: Tensor, bias: Tensor) -> Tensor:
-    """Fused x @ w + bias: one tape node per layer.
-
-    `x` is a tensor, stacked or not, or a sequence of off-tape row blocks
-    that the output stacks without copying them into one input.
-    """
-    wd, bd = w.data, bias.data
-    if isinstance(x, Tensor):
-        xd = x.data
-        _check_affine(xd, wd, bd)
-        bounds = x.bounds or (0, xd.shape[0])
-        blocks = [xd[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    else:
-        x = tuple(x)
-        if not x:
-            raise ContractError("affine: needs at least one row block")
-        blocks = [t.data for t in x]
-        for t, xb in zip(x, blocks):
-            if t.node is not None:
-                raise ContractError("affine: row blocks must be off the tape")
-            _check_affine(xb, wd, bd)
-        bounds = tuple(accumulate((xb.shape[0] for xb in blocks), initial=0))
-        x = x[0]  # stands for the off-tape input among the node's parents
+def affine(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """Fused x @ w + bias: one tape node per layer, for a stack of row
+    blocks (`x.bounds`) or a single batch."""
+    xd, wd, bd = x.data, w.data, bias.data
+    _check_affine(xd, wd, bd)
+    bounds = x.bounds or (0, xd.shape[0])
+    blocks = [xd[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     out = np.empty((bounds[-1], wd.shape[1]))
     for lo, hi, xb in zip(bounds, bounds[1:], blocks):
         np.matmul(xb, wd, out=out[lo:hi])

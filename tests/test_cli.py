@@ -403,8 +403,8 @@ class TestEvalCommands:
 
 
 class TestVerificationCommands:
-    def test_gradcheck_small_arch_passes(self, tmp_path, capsys):
-        code = run(["gradcheck", *FAST_OVERRIDES, "--out", str(tmp_path / "g")])
+    def test_gradcheck_small_arch_passes(self, capsys):
+        code = run(["gradcheck", *FAST_OVERRIDES])
         assert code == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "max relative error" in out
@@ -418,7 +418,7 @@ class TestVerificationCommands:
         def drifted(views, params, cfg, lam):
             # off-tape evaluations gain a term the tape's backward never sees
             bd = original(views, params, cfg, lam)
-            w = params.encoder_layers[0][0]
+            w = params.flat[0]
             if w.tape is None:
                 bd.total += 0.5 * float((w.data ** 2).sum())
             return bd
@@ -436,11 +436,20 @@ class TestVerificationCommands:
         trimix.cli.gradcheck(cfg, batch=8, side=8)
         assert cfg == before
 
-    def test_verify_oracle_passes(self, tmp_path, capsys):
-        code = run(["verify-oracle", *FAST_OVERRIDES, "--out", str(tmp_path / "v")])
+    def test_verify_oracle_passes(self, capsys):
+        code = run(["verify-oracle", *FAST_OVERRIDES])
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 6
+
+    @pytest.mark.parametrize("command", ["gradcheck", "verify-oracle"])
+    def test_verification_commands_take_no_out(self, command, tmp_path, capsys):
+        # they only print, so an output directory would go unused
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--out", str(tmp_path / "unused")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "unused").exists()
 
 
 def test_numeric_failures_exit_two(tmp_path, capsys, monkeypatch):

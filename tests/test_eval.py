@@ -43,9 +43,8 @@ def params_digest(ckpt: Checkpoint) -> str:
 class TestExtractFeatures:
     def test_zero_weight_encoder_degenerates(self):
         ckpt = make_checkpoint()
-        for w, b in ckpt.params.encoder_layers:
-            w.data[...] = 0.0
-            b.data[...] = 0.0
+        for t in ckpt.params.flat[:ckpt.params.encoder_end]:
+            t.data[...] = 0.0
         ds = synthetic_blobs(SyntheticSpec(n=12, classes=2, size=8, seed=0))
         with pytest.raises(DegenerateFeatureError, match="norm"):
             extract_features(ckpt, ds)
@@ -80,7 +79,7 @@ class TestExtractFeatures:
         ckpt = make_checkpoint(seed=3)
         ds = synthetic_blobs(SyntheticSpec(n=10, classes=2, size=8, seed=3))
         clean = extract_features(ckpt, ds)
-        for w, b in ckpt.params.projector_layers:
+        for w in ckpt.params.flat[ckpt.params.encoder_end::2]:
             w.data[...] = np.nan
         assert np.array_equal(extract_features(ckpt, ds).features, clean.features)
 
@@ -256,7 +255,7 @@ class TestFinetune:
         cfg = ProbeConfig(epochs=3, batch_size=8, lr=5e-3, seed=4)
         clean = finetune_semi(make_checkpoint(seed=9), train, test, 1.0, cfg)
         poisoned = make_checkpoint(seed=9)
-        for w, b in poisoned.params.projector_layers:
+        for w in poisoned.params.flat[poisoned.params.encoder_end::2]:
             w.data[...] = np.nan
         assert finetune_semi(poisoned, train, test, 1.0, cfg) == clean
 

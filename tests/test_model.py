@@ -76,12 +76,12 @@ class TestInit:
 
     def test_biases_zero(self):
         params = init_params(Arch(input_width=8), seed=5)
-        for _, bias in params.encoder_layers + params.projector_layers:
+        for bias in params.flat[1::2]:
             assert np.array_equal(bias.data, np.zeros_like(bias.data))
 
     def test_weight_spread_matches_uniform_moment(self):
         arch = Arch(input_width=256, encoder=(256,), projector=(4,))
-        w = init_params(arch, seed=6).encoder_layers[0][0].data
+        w = init_params(arch, seed=6).flat[0].data
         s = np.sqrt(6.0 / (256 + 256))
         expected = s / np.sqrt(3.0)
         assert abs(w.std() - expected) / expected < 0.2
@@ -92,16 +92,15 @@ class TestForward:
     def test_zero_params_give_zero_outputs(self):
         arch = Arch(input_width=5, encoder=(4,), projector=(3,))
         params = init_params(arch, seed=0)
-        for w, b in params.encoder_layers + params.projector_layers:
-            w.data[...] = 0.0
-            b.data[...] = 0.0
+        for t in params.flat:
+            t.data[...] = 0.0
         out = forward(Tensor(rng_for(30).normal(size=(6, 5))), params)
         assert not out.y.data.any() and not out.z.data.any()
 
     def test_identity_single_layer(self):
         arch = Arch(input_width=4, encoder=(4,), projector=(4,))
         params = init_params(arch, seed=0)
-        for w, b in params.encoder_layers + params.projector_layers:
+        for w, b in zip(params.flat[0::2], params.flat[1::2]):
             w.data[...] = np.eye(4)
             b.data[...] = 0.0
         x = rng_for(31).normal(size=(6, 4))
@@ -118,7 +117,7 @@ class TestForward:
         grads = backward(contract(forward(Tensor(x), attached).z))
         fd = oracle.finite_diff(
             lambda: contract(forward(Tensor(x), params).z).item(),
-            [params.encoder_layers[0][0].data],
+            [params.flat[0].data],
         )
         assert oracle.max_relative_error(grads[0], fd[0]) < 1e-5
 
@@ -175,8 +174,8 @@ class TestForward:
     def test_attach_shares_storage(self):
         params = init_params(Arch(input_width=3, encoder=(2,), projector=(2,)), seed=2)
         attached = params.attach(Tape())
-        attached.encoder_layers[0][0].data[0, 0] = 123.0
-        assert params.encoder_layers[0][0].data[0, 0] == 123.0
+        attached.flat[0].data[0, 0] = 123.0
+        assert params.flat[0].data[0, 0] == 123.0
 
     def test_names_align_with_tensors(self):
         params = init_params(Arch(input_width=3, encoder=(2, 2), projector=(2,)), seed=3)
@@ -224,8 +223,8 @@ class TestParamTable:
 def test_model_params_copy_is_deep():
     params = init_params(Arch(input_width=3, encoder=(2,), projector=(2,)), seed=4)
     clone = params.copy()
-    clone.encoder_layers[0][0].data[0, 0] = -999.0
-    assert params.encoder_layers[0][0].data[0, 0] != -999.0
+    clone.flat[0].data[0, 0] = -999.0
+    assert params.flat[0].data[0, 0] != -999.0
     assert isinstance(clone, ModelParams)
 
 
@@ -262,7 +261,9 @@ for name, (width, enc, proj) in ARCHS.items():
             tape = Tape()
             attached = params.attach(tape)
             if stacked:
-                z = forward(xs, attached).z
+                stack = Tensor(np.concatenate([x.data for x in xs]))
+                stack.bounds = (0, b, 2 * b, 3 * b)
+                z = forward(stack, attached).z
                 zs = [rows(z, lo, lo + b) for lo in range(0, 3 * b, b)]
             else:
                 zs = [forward(x, attached).z for x in xs]

@@ -363,8 +363,22 @@ class TestStepLoss:
     def test_numeric_failure_names_the_stage(self):
         cfg = small_cfg()
         params = init_params(cfg.arch_for(16), seed=12)
-        params.encoder_layers[0][0].data[0, 0] = np.nan
-        with pytest.raises(NumericError, match="forward"):
+        params.flat[0].data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="^forward: "):
+            trimix_step_loss(make_views(seed=11), params, cfg, 0.5)
+
+    @pytest.mark.parametrize("name, term", [("loss_bt", "l_bt"), ("row_softmax", "l_vrt"),
+                                            ("loss_con", "l_con")])
+    def test_numeric_failure_in_a_term_names_the_term(self, monkeypatch, name, term):
+        import trimix.objective
+
+        def explode(*args, **kwargs):
+            raise NumericError(f"operation '{name}' produced non-finite values")
+
+        monkeypatch.setattr(trimix.objective, name, explode)
+        cfg = small_cfg()
+        params = init_params(cfg.arch_for(16), seed=12)
+        with pytest.raises(NumericError, match=f"^{term}: operation '{name}'"):
             trimix_step_loss(make_views(seed=11), params, cfg, 0.5)
 
     def test_mix_factor_range(self):

@@ -9,7 +9,7 @@ from conftest import imported_names, rng_for
 from trimix import oracle
 from trimix.config import TriMixConfig
 from trimix.data import ViewPair
-from trimix.errors import DegenerateFeatureError, NumericError
+from trimix.errors import ContractError, DegenerateFeatureError, NumericError
 from trimix.model import init_params
 from trimix.objective import trimix_step_loss
 from trimix.oracle import (
@@ -45,6 +45,26 @@ class TestNaiveCorrelation:
     def test_samples_mode_shape(self):
         z = np.random.default_rng(1).normal(size=(5, 7))
         assert naive_correlation(z, z, "samples").shape == (5, 5)
+
+    def test_samples_are_features_of_the_transposes(self):
+        rng = np.random.default_rng(2)
+        z, z2 = rng.normal(size=(5, 7)), rng.normal(size=(5, 7))
+        samples = naive_correlation(z, z2, "samples")
+        assert samples.tobytes() == naive_correlation(z.T.copy(), z2.T.copy(), "features").tobytes()
+        m, n = 3, 1
+        num = sum(z[m, a] * z2[n, a] for a in range(7))
+        den = np.sqrt(sum(z[m, a] ** 2 for a in range(7))) * np.sqrt(sum(z2[n, a] ** 2 for a in range(7)))
+        assert abs(samples[m, n] - num / den) < 1e-15
+
+    def test_zero_denominator_names_the_pair(self):
+        z = np.ones((3, 2))
+        z[1] = 0.0
+        with pytest.raises(DegenerateFeatureError, match=r"sample pair \(0, 1\)"):
+            naive_correlation(z, z, "samples")
+        with pytest.raises(DegenerateFeatureError, match=r"feature pair \(0, 1\)"):
+            naive_correlation(z.T, z.T, "features")
+        with pytest.raises(ContractError, match="unknown mode"):
+            naive_correlation(z, z, "rows")
 
 
 def test_naive_bt_terms_trivial_cases():
@@ -138,12 +158,8 @@ class TestObjectiveFiniteDiff:
 
     @classmethod
     def batched(cls, cfg, views, params, h=1e-5):
-        def arrays(layers):
-            return [(w.data, b.data) for w, b in layers]
-
         return oracle.objective_finite_diff(
-            views.x, views.x_prime,
-            arrays(params.encoder_layers), arrays(params.projector_layers), cfg, cls.LAM, h=h,
+            views.x, views.x_prime, [t.data for t in params.flat], cfg, cls.LAM, h=h,
         )
 
     @classmethod
@@ -170,9 +186,16 @@ class TestObjectiveFiniteDiff:
         err = max(max_relative_error(a, b) for a, b in zip(grads, scalar))
         assert err <= 1e-6, f"batched vs scalar finite differences differ by {err:.3e}"
 
+    def test_param_list_must_fit_the_config(self):
+        cfg, views, params = self.setup_case(seed=6)
+        arrays = [t.data for t in params.flat]
+        for bad in (arrays[:-2], arrays[:4], arrays + arrays[-2:]):
+            with pytest.raises(ContractError, match=f"{len(bad)} arrays do not fit 2 encoder and 2 projector"):
+                oracle.objective_finite_diff(views.x, views.x_prime, bad, cfg, self.LAM)
+
     def test_constant_feature_is_degenerate_unless_allowed(self):
         cfg, views, params = self.setup_case(seed=4)
-        params.projector_layers[-1][0].data[:, 3] = 0.0  # embedding feature 3 constant
+        params.flat[-2].data[:, 3] = 0.0  # embedding feature 3 constant
         with pytest.raises(DegenerateFeatureError, match="feature 3"):
             self.batched(cfg, views, params)
         cfg.allow_degenerate = True

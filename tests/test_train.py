@@ -75,7 +75,7 @@ class TestAdam:
     def test_quadratic_trajectory_matches_scalar_oracle(self):
         params = scalar_params(1.0)
         state = AdamState.for_params(params, lr=0.1, weight_decay=0.0)
-        weight = params.encoder_layers[0][0]
+        weight = params.flat[0]
         seen = []
         for _ in range(10):
             grads = [np.zeros_like(t.data) for t in params.tensors()]
@@ -123,7 +123,7 @@ class TestAdam:
         state = AdamState.for_params(params, lr=0.01, weight_decay=0.0)
         grads = [np.ones_like(t.data) for t in params.tensors()]
         if what == "parameter":
-            w = params.encoder_layers[0][0]
+            w = params.flat[0]
             w.data = np.asfortranarray(w.data)
         else:
             moments = state.m if what == "first moment" else state.v
@@ -163,7 +163,7 @@ class TestAdam:
                 for a, b in zip(got, want):
                     a = getattr(a, "data", a)
                     assert a.tobytes() == b.tobytes()
-        assert params.encoder_layers[0][0].data.size == size
+        assert params.flat[0].data.size == size
 
     def test_traced_peak_stays_under_a_megabyte(self):
         params = init_params(WIDE_ARCH, seed=1)
