@@ -238,13 +238,14 @@ def cmd_gradcheck(args) -> int:
 
 def oracle_equivalence_reports(cases: int = ORACLE_CASES, seed: int = 0) -> list[oracle.OracleReport]:
     """Seeded random agreement checks between optimized paths and the oracle."""
-    reports = []
-    tol = ORACLE_TOLERANCE
-
-    def record(case_id: str, diffs: list, case_seed: int):
-        reports.append(oracle.OracleReport(case_id, max(diffs), tol, case_seed))
-
-    diffs_c, diffs_m, diffs_inv, diffs_rr, diffs_vrt, diffs_con = [], [], [], [], [], []
+    diffs = {case_id: [] for case_id in (
+        "cross_correlation/features vs explicit denominators",
+        "cross_correlation/samples vs explicit denominators",
+        "loss_bt invariance vs double loop",
+        "loss_bt redundancy vs double loop",
+        "loss_vrt vs elementwise loop",
+        "loss_con vs elementwise loop",
+    )}
     for case in range(cases):
         rng = data.derived_rng(seed, case)
         b = 2 * int(rng.integers(2, 9))  # even batch in [4, 16]
@@ -255,41 +256,30 @@ def oracle_equivalence_reports(cases: int = ORACLE_CASES, seed: int = 0) -> list
         zs = standardize(Tensor(z), "batch").data
         z2s = standardize(Tensor(z2), "batch").data
         c_fast = cross_correlation(Tensor(zs), Tensor(z2s), "features").data
-        c_slow = oracle.naive_correlation(zs, z2s, "features")
-        diffs_c.append(float(np.abs(c_fast - c_slow).max()))
+        c_diff = float(np.abs(c_fast - oracle.naive_correlation(zs, z2s, "features")).max())
 
         zf = standardize(Tensor(z), "feature").data
         z2f = standardize(Tensor(z2), "feature").data
         m_fast = cross_correlation(Tensor(zf), Tensor(z2f), "samples").data
-        m_slow = oracle.naive_correlation(zf, z2f, "samples")
-        diffs_m.append(float(np.abs(m_fast - m_slow).max()))
+        m_diff = float(np.abs(m_fast - oracle.naive_correlation(zf, z2f, "samples")).max())
 
         c_raw = rng.uniform(-1.0, 1.0, size=(d, d))
         l_inv, l_rr = loss_bt(Tensor(c_raw))
         n_inv, n_rr = oracle.naive_bt_terms(c_raw)
-        diffs_inv.append(abs(l_inv.item() - n_inv))
-        diffs_rr.append(abs(l_rr.item() - n_rr))
 
         logits = rng.normal(size=(b, b))
         m_soft = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         gt = ground_truth_matrix(b, float(rng.random()))
-        fast = loss_vrt(Tensor(m_soft), gt).item()
-        slow = oracle.naive_mean_abs(m_soft, gt.data)
-        diffs_vrt.append(abs(fast - slow))
+        vrt_diff = abs(loss_vrt(Tensor(m_soft), gt).item() - oracle.naive_mean_abs(m_soft, gt.data))
 
         za = rng.normal(size=(b, d))
         zb = rng.normal(size=(b, d))
-        fast = loss_con(Tensor(za), Tensor(zb)).item()
-        slow = oracle.naive_mean_abs(za, zb)
-        diffs_con.append(abs(fast - slow))
+        con_diff = abs(loss_con(Tensor(za), Tensor(zb)).item() - oracle.naive_mean_abs(za, zb))
 
-    record("cross_correlation/features vs explicit denominators", diffs_c, seed)
-    record("cross_correlation/samples vs explicit denominators", diffs_m, seed)
-    record("loss_bt invariance vs double loop", diffs_inv, seed)
-    record("loss_bt redundancy vs double loop", diffs_rr, seed)
-    record("loss_vrt vs elementwise loop", diffs_vrt, seed)
-    record("loss_con vs elementwise loop", diffs_con, seed)
-    return reports
+        case_diffs = (c_diff, m_diff, abs(l_inv.item() - n_inv), abs(l_rr.item() - n_rr), vrt_diff, con_diff)
+        for found, diff in zip(diffs.values(), case_diffs):
+            found.append(diff)
+    return [oracle.OracleReport(case_id, max(found), ORACLE_TOLERANCE, seed) for case_id, found in diffs.items()]
 
 
 def cmd_verify_oracle(args) -> int:

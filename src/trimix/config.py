@@ -24,7 +24,6 @@ class TriMixConfig:
     lambda_fixed: float = 0.5
     enable_feature_norm: bool = True
     normalize_on: bool = True
-    allow_degenerate: bool = False
     placement: str = "ZZ"
     # model
     encoder_widths: tuple = (128, 64)
@@ -91,7 +90,9 @@ class TriMixConfig:
         if self.placement not in PLACEMENTS:
             raise ContractError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
         if self.lambda_policy not in ("uniform", "fixed"):
-            raise ContractError(f"lambda_policy must be 'uniform' or 'fixed(v)', got {self.lambda_policy!r}")
+            raise ContractError(
+                f"lambda_policy must be 'uniform' or 'fixed' (the factor is lambda_fixed), got {self.lambda_policy!r}"
+            )
         if not 0.0 <= self.lambda_fixed <= 1.0:
             raise ContractError(f"fixed lambda must lie in [0, 1], got {self.lambda_fixed}")
         if self.dataset not in ("synthetic", "idx", "csv"):
@@ -150,7 +151,8 @@ _FIELDS = {f.name: f for f in fields(TriMixConfig)}
 
 # keys of earlier versions, each with what replaced it
 REMOVED_KEYS = {"out_dir": "--out sets the output directory", "enable_vrt": "beta=0 switches the term off",
-                "enable_con": "gamma=0 switches the term off"}
+                "enable_con": "gamma=0 switches the term off",
+                "allow_degenerate": "a standardized slice with no spread is always an error"}
 
 
 def _format_value(value) -> str:
@@ -185,19 +187,8 @@ def _parse_value(name: str, raw: str):
 
 
 def apply_setting(cfg: TriMixConfig, name: str, raw: str) -> None:
-    """Apply one key=value override, with lambda_policy sugar."""
+    """Apply one key=value override."""
     name = name.strip()
-    if name == "lambda_policy":
-        raw = raw.strip()
-        if raw.startswith("fixed(") and raw.endswith(")"):
-            try:
-                cfg.lambda_fixed = float(raw[6:-1])
-            except ValueError as exc:
-                raise ContractError(f"lambda_policy: bad fixed value in {raw!r}") from exc
-            cfg.lambda_policy = "fixed"
-            return
-        cfg.lambda_policy = raw
-        return
     if name not in _FIELDS:
         if name in REMOVED_KEYS:
             raise ContractError(f"config key {name!r} was removed: {REMOVED_KEYS[name]}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv as csv_module
 import io
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +81,6 @@ class AugmentPolicy:
                 raise ContractError(f"augment policy: {name} must be in [0, 1], got {p}")
         if self.pad < 0:
             raise ContractError(f"augment policy: pad must be >= 0, got {self.pad}")
-
-    @classmethod
-    def identity(cls) -> "AugmentPolicy":
-        return cls(pad=0, hflip_p=0.0, brightness=0.0, contrast=0.0, grayscale_p=0.0)
 
 
 @dataclass
@@ -352,6 +349,10 @@ def two_views(
     oy, ox, flip, bright, con, gray = _stack_draws(policy, seed, key, n)
     src = np.tile(np.arange(n), 2)
     p = policy.pad
+    if n * c * (h + 2 * p) * (w + 2 * p) * batch_images.itemsize > sys.maxsize:
+        # numpy raises ValueError for an array larger than its index type
+        # (Py_ssize_t) can address; refuse it as any too-large allocation is
+        raise MemoryError(f"two_views: a pad of {p} makes the padded batch too large to allocate")
     padded = np.pad(batch_images, ((0, 0), (0, 0), (p, p), (p, p)), mode="reflect") if p else batch_images
     # the gather copies, so the flip can write in place
     out = sliding_window_view(padded, (h, w), axis=(2, 3))[src, :, oy, ox]

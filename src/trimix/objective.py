@@ -168,8 +168,8 @@ def trimix_step_loss(views, params: ModelParams, cfg, lam: float, trace: dict | 
             y, y_vrt = rows(out.y, 0, b), rows(out.y, 2 * b, 3 * b)
 
         term = "l_bt"
-        zs = standardize(z, "batch", cfg.allow_degenerate) if norm else z
-        zs_p = standardize(z_p, "batch", cfg.allow_degenerate) if norm else z_p
+        zs = standardize(z, "batch") if norm else z
+        zs_p = standardize(z_p, "batch") if norm else z_p
         c = cross_correlation(zs, zs_p, "features")
         l_inv, l_rr = loss_bt(c)
         l_bt = add(l_inv, scalar_mul(l_rr, cfg.alpha))
@@ -178,15 +178,15 @@ def trimix_step_loss(views, params: ModelParams, cfg, lam: float, trace: dict | 
 
         def base_for(level: str) -> Tensor:
             if level not in bases:  # Y, standardized once for both terms
-                bases[level] = standardize(y, "batch", cfg.allow_degenerate) if norm else y
+                bases[level] = standardize(y, "batch") if norm else y
             return bases[level]
 
         def virtual_for(level: str) -> Tensor:
             v = z_vrt if level == "Z" else y_vrt
             if norm:
-                v = standardize(v, "batch", cfg.allow_degenerate)
+                v = standardize(v, "batch")
                 if cfg.enable_feature_norm:
-                    v = standardize(v, "feature", cfg.allow_degenerate)
+                    v = standardize(v, "feature")
             return v
 
         term = "l_vrt"

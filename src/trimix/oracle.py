@@ -143,20 +143,18 @@ FD_CHUNK = 64
 STD_FLOOR = 1e-12
 
 
-def _standardize(v: np.ndarray, axis: int, allow_degenerate: bool) -> np.ndarray:
+def _standardize(v: np.ndarray, axis: int) -> np.ndarray:
     """Mean 0, population std 1 along `axis` (-2: over the batch, -1: over
-    the features), substituting std=1 for degenerate slices if allowed."""
+    the features); a slice with no spread is an error."""
     centered = v - v.mean(axis=axis, keepdims=True)
     std = np.sqrt((centered * centered).mean(axis=axis, keepdims=True))
     low = std < STD_FLOOR
     if low.any():
-        if not allow_degenerate:
-            slice_name, other = ("feature", -1) if axis == -2 else ("sample", -2)
-            idx = int(np.argwhere(low)[0][other])
-            raise DegenerateFeatureError(
-                f"objective oracle: {slice_name} {idx} has standard deviation below {STD_FLOOR:g}"
-            )
-        std = np.where(low, 1.0, std)
+        slice_name, other = ("feature", -1) if axis == -2 else ("sample", -2)
+        idx = int(np.argwhere(low)[0][other])
+        raise DegenerateFeatureError(
+            f"objective oracle: {slice_name} {idx} has standard deviation below {STD_FLOOR:g}"
+        )
     return centered / std
 
 
@@ -167,10 +165,9 @@ def _batched_objective(z, z_p, y, z_v, y_v, cfg, lam: float) -> np.ndarray:
     `y`, `y_v` the representations of x and the mixed batch, all PxBxD.
     """
     norm = cfg.normalize_on
-    allow = cfg.allow_degenerate
     batch = z.shape[-2]
-    zs = _standardize(z, -2, allow) if norm else z
-    zs_p = _standardize(z_p, -2, allow) if norm else z_p
+    zs = _standardize(z, -2) if norm else z
+    zs_p = _standardize(z_p, -2) if norm else z_p
     c = np.swapaxes(zs, -1, -2) @ zs_p / batch
     diag = np.diagonal(c, axis1=-2, axis2=-1)
     l_inv = ((1.0 - diag) ** 2).sum(axis=-1)
@@ -181,15 +178,15 @@ def _batched_objective(z, z_p, y, z_v, y_v, cfg, lam: float) -> np.ndarray:
     def base(level: str) -> np.ndarray:
         if level == "Z":
             return zs
-        return _standardize(y, -2, allow) if norm else y
+        return _standardize(y, -2) if norm else y
 
     @functools.cache
     def virtual(level: str) -> np.ndarray:
         v = z_v if level == "Z" else y_v
         if norm:
-            v = _standardize(v, -2, allow)
+            v = _standardize(v, -2)
             if cfg.enable_feature_norm:
-                v = _standardize(v, -1, allow)
+                v = _standardize(v, -1)
         return v
 
     vrt_level, con_level = cfg.placement[0], cfg.placement[1]
@@ -219,12 +216,12 @@ def objective_finite_diff(x, x_prime, params: list, cfg, lam: float,
     weight (laid out for x @ W) then bias.  `cfg` supplies the layer
     counts (encoder_widths, projector_widths) and the objective settings
     (alpha, beta, gamma, tau, placement, normalize_on,
-    enable_feature_norm, allow_degenerate, activation; a zero beta or
-    gamma leaves its term out) and `lam` is the mixing factor.  The
-    objective is re-derived here from the README: ReLU after every layer
-    but the last of each stack, population-std standardization,
-    divide-by-count correlations, temperature row softmax, the lam/1-lam
-    ground truth and the L1 terms.
+    enable_feature_norm, activation; a zero beta or gamma leaves its term
+    out) and `lam` is the mixing factor.  The objective is re-derived here
+    from the README: ReLU after every layer but the last of each stack,
+    population-std standardization (a slice with no spread is a
+    DegenerateFeatureError), divide-by-count correlations, temperature row
+    softmax, the lam/1-lam ground truth and the L1 terms.
 
     Perturbing W_l[i, j] by +-h only shifts column j of layer l's
     pre-activation by +-h * input_l[:, i] (and b_l[j] by +-h), so each
@@ -232,7 +229,8 @@ def objective_finite_diff(x, x_prime, params: list, cfg, lam: float,
     moved column to layer l+1 as a rank-1 change, and recomputes the
     layers above for x, x' and the mixed batch.
 
-    Returns the unperturbed objective value and one gradient array per
+    Returns the unperturbed objective value, taken from the same forward
+    pass the perturbations start from, and one gradient array per
     parameter, in the order of `params`.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -312,7 +310,7 @@ def objective_finite_diff(x, x_prime, params: list, cfg, lam: float,
         return _batched_objective(z, z_p, y, z_v, y_v, cfg, lam)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(objective([run_from(0, p[0][None], None) for p in pres])[0])
+        value = float(objective([(p[y_layer][None], p[-1][None]) for p in pres])[0])
         grads = []
         half = FD_CHUNK // 2
         for l, (w, b) in enumerate(layers):

@@ -17,11 +17,11 @@ STD_FLOOR = 1e-12
 _AXES = {"batch": 0, "feature": 1}
 
 
-def standardize(z: Tensor, axis: str, allow_degenerate: bool = False) -> Tensor:
+def standardize(z: Tensor, axis: str) -> Tensor:
     """Shift/scale each slice along `axis` to mean 0 and population std 1.
 
-    A slice with std below 1e-12 is a hard error naming the offending
-    index unless `allow_degenerate`, which substitutes std=1 for it.
+    A slice with std below 1e-12 has no spread to scale to 1: it is a hard
+    error naming the offending index.
     """
     if axis not in _AXES:
         raise ContractError(f"standardize: axis must be 'batch' or 'feature', got {axis!r}")
@@ -38,24 +38,17 @@ def standardize(z: Tensor, axis: str, allow_degenerate: bool = False) -> Tensor:
     # by the count, so the results are its bits
     centered = zd - np.add.reduce(zd, axis=ax, keepdims=True) / n
     std = np.sqrt(np.add.reduce(centered * centered, axis=ax, keepdims=True) / n)
-    live = None  # 1.0 for slices whose std depends on the input, else 0.0
     # (std < STD_FLOOR).any() in one reduction: fmin skips NaN as < does
     if np.fmin.reduce(std, axis=None, initial=np.inf) < STD_FLOOR:
-        degenerate = std < STD_FLOOR
-        if not allow_degenerate:
-            idx = int(np.argmax(degenerate.reshape(-1)))
-            slice_name = "feature" if axis == "batch" else "sample"
-            raise DegenerateFeatureError(
-                f"standardize: {slice_name} {idx} has standard deviation below {STD_FLOOR:g}"
-            )
-        std = np.where(degenerate, 1.0, std)
-        live = (~degenerate).astype(np.float64)
+        idx = int(np.argmax((std < STD_FLOOR).reshape(-1)))
+        slice_name = "feature" if axis == "batch" else "sample"
+        raise DegenerateFeatureError(
+            f"standardize: {slice_name} {idx} has standard deviation below {STD_FLOOR:g}"
+        )
     y = centered / std
 
     def rule(g):
         gy = y * (np.add.reduce(g * y, axis=ax, keepdims=True) / n)
-        if live is not None:  # a product with live = 1.0 is exact, so it is skipped
-            gy *= live
         return ((g - np.add.reduce(g, axis=ax, keepdims=True) / n - gy) / std,)
 
     return apply_op(f"standardize_{axis}", (z,), y, rule)

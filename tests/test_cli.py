@@ -72,6 +72,7 @@ class TestPretrainCommand:
     @pytest.mark.parametrize("via", ["set", "config"])
     @pytest.mark.parametrize("key, replacement", [
         ("out_dir", "--out"), ("enable_vrt", "beta=0"), ("enable_con", "gamma=0"),
+        ("allow_degenerate", "no spread is always an error"),
     ])
     def test_removed_key_exits_one_naming_its_replacement(self, tmp_path, capsys, key, replacement, via):
         setting = f"{key}={'runs/old' if key == 'out_dir' else 'false'}"

@@ -1,7 +1,8 @@
 """Flat key=value config format and validation rules."""
 import pytest
 
-from trimix.config import TriMixConfig, apply_setting, load_config, parse_config
+from trimix.cli import run
+from trimix.config import TriMixConfig, load_config, parse_config
 from trimix.errors import BatchParityError, ContractError, FormatError
 
 
@@ -44,14 +45,20 @@ def test_missing_equals_rejected():
         parse_config("seed 5\n")
 
 
-def test_lambda_policy_fixed_sugar():
-    cfg = TriMixConfig()
-    apply_setting(cfg, "lambda_policy", "fixed(0.25)")
-    assert cfg.lambda_policy == "fixed" and cfg.lambda_fixed == 0.25
-    apply_setting(cfg, "lambda_policy", "uniform")
-    assert cfg.lambda_policy == "uniform"
-    with pytest.raises(ContractError):
-        apply_setting(cfg, "lambda_policy", "fixed(oops)")
+@pytest.mark.parametrize("via", ["set", "config"])
+def test_lambda_policy_fixed_v_exits_one_naming_lambda_fixed(tmp_path, capsys, via):
+    """The factor has one key: `fixed(v)` is one error line naming it."""
+    if via == "set":
+        source = ["--set", "lambda_policy=fixed(0.3)"]
+    else:
+        (tmp_path / "old.cfg").write_text("seed=7\nlambda_policy=fixed(0.3)\n")
+        source = ["--config", str(tmp_path / "old.cfg")]
+    assert run(["pretrain", *source, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "lambda_fixed" in err[0], err
+    assert not (tmp_path / "x").exists()
+    cfg = parse_config("lambda_policy=fixed\nlambda_fixed=0.3\n").validate()
+    assert cfg.lambda_policy == "fixed" and cfg.lambda_fixed == 0.3
 
 
 def test_odd_batch_rejected():

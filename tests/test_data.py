@@ -196,7 +196,8 @@ class TestSyntheticPinned:
 class TestTwoViews:
     def test_identity_policy_returns_input(self):
         imgs = rng_for(40).uniform(0, 1, size=(4, 1, 6, 6))
-        vp = two_views(imgs, AugmentPolicy.identity(), 123)
+        policy = AugmentPolicy(pad=0, hflip_p=0.0, brightness=0.0, contrast=0.0, grayscale_p=0.0)
+        vp = two_views(imgs, policy, 123)
         assert np.array_equal(vp.x, imgs)
         assert np.array_equal(vp.x_prime, imgs)
 
@@ -335,7 +336,8 @@ class TestTwoViewsAgainstOracle:
 
         monkeypatch.setattr(data, "derived_rng", counting)
         imgs = rng_for(49).uniform(0, 1, size=(6, 1, 8, 8))
-        two_views(imgs, AugmentPolicy.identity(), 3, 1, 2)
+        two_views(imgs, AugmentPolicy(pad=0, hflip_p=0.0, brightness=0.0, contrast=0.0, grayscale_p=0.0),
+                  3, 1, 2)
         two_views(imgs, AugmentPolicy(), 3, 1, 2)
         assert made == []
         self.reject_row(monkeypatch, 6 + 4)  # image 4 of view 1

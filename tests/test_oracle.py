@@ -193,16 +193,11 @@ class TestObjectiveFiniteDiff:
             with pytest.raises(ContractError, match=f"{len(bad)} arrays do not fit 2 encoder and 2 projector"):
                 oracle.objective_finite_diff(views.x, views.x_prime, bad, cfg, self.LAM)
 
-    def test_constant_feature_is_degenerate_unless_allowed(self):
+    def test_constant_feature_is_degenerate(self):
         cfg, views, params = self.setup_case(seed=4)
         params.flat[-2].data[:, 3] = 0.0  # embedding feature 3 constant
         with pytest.raises(DegenerateFeatureError, match="feature 3"):
             self.batched(cfg, views, params)
-        cfg.allow_degenerate = True
-        value, grads = self.batched(cfg, views, params)
-        total = self.step_total(cfg, views, params)
-        assert abs(value - total) <= 1e-12 * abs(total)
-        assert all(np.isfinite(g).all() for g in grads)
 
     def test_non_finite_loss_names_its_coordinate(self):
         # unnormalized and linear, a step of 1e200 overflows the loss at

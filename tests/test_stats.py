@@ -32,12 +32,6 @@ class TestStandardize:
         with pytest.raises(DegenerateFeatureError, match="sample 1"):
             standardize(Tensor(z), "feature")
 
-    def test_allow_degenerate_substitutes_unit_std(self):
-        z = np.array([[1.0, 5.0], [1.0, 7.0]])
-        out = standardize(Tensor(z), "batch", allow_degenerate=True).data
-        np.testing.assert_array_equal(out[:, 0], [0.0, 0.0])
-        np.testing.assert_array_equal(out[:, 1], [-1.0, 1.0])
-
     def test_short_axis_rejected(self):
         with pytest.raises(ContractError, match="at least 2"):
             standardize(Tensor(np.ones((1, 4))), "batch")
@@ -166,19 +160,15 @@ class TestRowSoftmax:
             )
 
 
-def _mean_formula_standardize(z, ax, allow_degenerate):
-    """standardize and its gradient written with ndarray.mean, live mask
-    always applied: the reference the tape op must equal byte for byte."""
+def _mean_formula_standardize(z, ax):
+    """standardize and its gradient written with ndarray.mean: the
+    reference the tape op must equal byte for byte."""
     centered = z - z.mean(axis=ax, keepdims=True)
     std = np.sqrt((centered * centered).mean(axis=ax, keepdims=True))
-    degenerate = std < STD_FLOOR
-    assert allow_degenerate or not degenerate.any()
-    std = np.where(degenerate, 1.0, std)
     y = centered / std
-    live = (~degenerate).astype(np.float64)
 
     def grad(g):
-        return (g - g.mean(axis=ax, keepdims=True) - y * (g * y).mean(axis=ax, keepdims=True) * live) / std
+        return (g - g.mean(axis=ax, keepdims=True) - y * (g * y).mean(axis=ax, keepdims=True)) / std
 
     return y, grad
 
@@ -218,16 +208,19 @@ class TestExactness:
         for case, shape in enumerate(shapes):
             rng = rng_for(31, case)
             z = rng.normal(size=shape) * rng.uniform(0.1, 10.0) + rng.normal()
-            degenerate = case % 4 == 3
-            if degenerate:  # one constant slice, substituted under allow_degenerate
+            if case % 4 == 3:  # one constant slice: an error naming it
                 idx = int(rng.integers(0, shape[1 - ax]))
                 if ax == 0:
                     z[:, idx] = 2.5
                 else:
                     z[idx, :] = 2.5
-            y_want, grad_want = _mean_formula_standardize(z, ax, degenerate)
+                name = "feature" if ax == 0 else "sample"
+                with pytest.raises(DegenerateFeatureError, match=rf"{name} {idx} has"):
+                    standardize(Tensor(z), axis)
+                continue
+            y_want, grad_want = _mean_formula_standardize(z, ax)
             tape = Tape()
-            out = standardize(tape.leaf(Tensor(z)), axis, allow_degenerate=degenerate)
+            out = standardize(tape.leaf(Tensor(z)), axis)
             assert out.data.tobytes() == y_want.tobytes(), (axis, shape)
             g = rng.normal(size=shape)
             (grad,) = tape.nodes[out.node].rule(g)
