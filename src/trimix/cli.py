@@ -128,14 +128,16 @@ def cmd_pretrain(args) -> int:
             raise ContractError(f"{metrics} already exists; resume into a fresh --out")
     data.check_batch_size(len(train_ds), cfg.batch_size)
     if resume is None and os.path.isdir(out):
-        # a fresh run replaces what an earlier one left: its snapshots too
+        # a fresh run replaces what an earlier one left, so a run that fails
+        # leaves its snapshot beside no other run's outputs
         for name in os.listdir(out):
-            if re.fullmatch(r"checkpoint_epoch\d{4,}\.tmx", name):
+            if name in ("metrics.csv", "checkpoint.tmx") or re.fullmatch(r"checkpoint_epoch\d{4,}\.tmx", name):
                 os.remove(os.path.join(out, name))
     write_snapshot(args, cfg)
+    resumed_at = resume.epoch if resume is not None else 0
     ckpt, rows = pretrain(cfg, train_ds, out_dir=out, resume=resume)
     last = rows[-1] if rows else None
-    print(f"pretrained {ckpt.epoch} epochs, {len(rows)} steps logged to {out}/metrics.csv")
+    print(f"pretrained {ckpt.epoch - resumed_at} epochs, {len(rows)} steps logged to {out}/metrics.csv")
     if last is not None:
         print(f"final step loss: total {last['total']:.6f} "
               f"(bt {last['l_bt_inv'] + cfg.alpha * last['l_bt_rr']:.6f}, "

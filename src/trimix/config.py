@@ -36,7 +36,6 @@ class TriMixConfig:
     lr: float = 1e-3
     weight_decay: float = 1e-6
     save_every: int = 25
-    checkpoint_dtype: str = "f64"
     # data
     dataset: str = "synthetic"  # synthetic | idx | csv
     synthetic_classes: int = 3
@@ -68,7 +67,7 @@ class TriMixConfig:
 
     def validate(self) -> "TriMixConfig":
         for f in fields(self):
-            if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ContractError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for names, ok, rule in (
             (("seed",), lambda v: v >= 0, "must be non-negative"),
@@ -97,8 +96,6 @@ class TriMixConfig:
             raise ContractError(f"fixed lambda must lie in [0, 1], got {self.lambda_fixed}")
         if self.dataset not in ("synthetic", "idx", "csv"):
             raise ContractError(f"dataset must be synthetic, idx, or csv, got {self.dataset!r}")
-        if self.checkpoint_dtype not in ("f32", "f64"):
-            raise ContractError(f"checkpoint_dtype must be f32 or f64, got {self.checkpoint_dtype!r}")
         if self.save_every < 0:
             raise ContractError(f"save_every must be >= 0 (0 = no snapshots), got {self.save_every}")
         # the objects a run builds from these settings check their own rules
@@ -152,7 +149,8 @@ _FIELDS = {f.name: f for f in fields(TriMixConfig)}
 # keys of earlier versions, each with what replaced it
 REMOVED_KEYS = {"out_dir": "--out sets the output directory", "enable_vrt": "beta=0 switches the term off",
                 "enable_con": "gamma=0 switches the term off",
-                "allow_degenerate": "a standardized slice with no spread is always an error"}
+                "allow_degenerate": "a standardized slice with no spread is always an error",
+                "checkpoint_dtype": "checkpoints store float64 arrays only"}
 
 
 def _format_value(value) -> str:
@@ -168,18 +166,18 @@ def _format_value(value) -> str:
 def _parse_value(name: str, raw: str):
     f = _FIELDS[name]
     raw = raw.strip()
-    if f.type in ("bool", bool):
+    if f.type == "bool":
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ContractError(f"config key {name!r}: expected a boolean, got {raw!r}")
     try:
-        if f.type in ("int", int):
+        if f.type == "int":
             return int(raw)
-        if f.type in ("float", float):
+        if f.type == "float":
             return float(raw)
-        if f.type in ("tuple", tuple):
+        if f.type == "tuple":
             return tuple(int(v) for v in raw.split(",") if v.strip())
     except ValueError as exc:
         raise ContractError(f"config key {name!r}: {exc}") from exc

@@ -10,7 +10,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,33 +33,25 @@ CHECKPOINT_VERSION = 1
 
 METRICS_COLUMNS = ("step", "epoch", "lambda", "l_bt_inv", "l_bt_rr", "l_vrt", "l_con", "total")
 
-_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 # the arrays stored per parameter, in file order, each as "<kind>:<name>"
 _ARRAY_KINDS = ("param", "adam_m", "adam_v")
-# AdamState's scalars, in the order the metadata stores them
-_ADAM_SCALARS = ("t", "lr", "weight_decay", "beta1", "beta2", "eps")
+_ARRAY_DTYPE = np.dtype("<f8")
+
+# Adam's constants; its learning rate and weight decay are config settings
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class AdamState:
-    lr: float
-    weight_decay: float
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    """Adam's state: one first and one second moment per parameter, and the step count."""
+    m: list
+    v: list
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: ModelParams, lr: float, weight_decay: float) -> "AdamState":
+    def for_params(cls, params: ModelParams) -> "AdamState":
         tensors = params.tensors()
-        return cls(
-            lr=lr,
-            weight_decay=weight_decay,
-            m=[np.zeros_like(t.data) for t in tensors],
-            v=[np.zeros_like(t.data) for t in tensors],
-        )
+        return cls(m=[np.zeros_like(t.data) for t in tensors], v=[np.zeros_like(t.data) for t in tensors])
 
 
 # values per block temporary: three 64 KiB temporaries stay in cache
@@ -91,7 +83,8 @@ def _check_adam_inputs(tensors: list, grads: list, state: AdamState) -> None:
                 )
 
 
-def adam_step(params: ModelParams, grads: list, state: AdamState) -> tuple[ModelParams, AdamState]:
+def adam_step(params: ModelParams, grads: list, state: AdamState, lr: float,
+              weight_decay: float) -> tuple[ModelParams, AdamState]:
     """Classic bias-corrected Adam; weight decay is coupled (g += wd * theta).
 
     Parameters and moments are updated in place, block by block, with the
@@ -101,7 +94,7 @@ def adam_step(params: ModelParams, grads: list, state: AdamState) -> tuple[Model
     tensors = params.tensors()
     _check_adam_inputs(tensors, grads, state)
     state.t += 1
-    b1, b2, wd, lr, eps = state.beta1, state.beta2, state.weight_decay, state.lr, state.eps
+    b1, b2, wd, eps = BETA1, BETA2, weight_decay, EPS
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     g_buf, a_buf, b_buf = (np.empty(_ADAM_BLOCK) for _ in range(3))
@@ -129,34 +122,29 @@ def adam_step(params: ModelParams, grads: list, state: AdamState) -> tuple[Model
 
 @dataclass
 class Checkpoint:
+    """A run's state after `epoch`; `config_text` records the settings it ran with."""
     params: ModelParams
     adam: AdamState
     epoch: int
-    seed: int
     config_text: str = ""
-    dtype: str = "f64"
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    """Magic, version, length-prefixed JSON metadata, then raw little-endian arrays.
+    """Magic, version, length-prefixed JSON metadata, then raw little-endian
+    float64 arrays.
 
     The arrays stream one by one into `path + ".tmp"`, which replaces `path`
     only once complete; on any failure the temp file is removed and a
     previous file at `path` is left as it was.
     """
-    if ckpt.dtype not in _DTYPES:
-        raise ContractError(f"checkpoint dtype must be one of {sorted(_DTYPES)}, got {ckpt.dtype!r}")
-    dt = _DTYPES[ckpt.dtype]
     names = ckpt.params.names()
     groups = ([t.data for t in ckpt.params.tensors()], ckpt.adam.m, ckpt.adam.v)
     arrays = [(f"{kind}:{n}", a) for kind, group in zip(_ARRAY_KINDS, groups) for n, a in zip(names, group)]
     meta = {
-        "dtype": ckpt.dtype,
         "epoch": ckpt.epoch,
-        "seed": ckpt.seed,
         "config": ckpt.config_text,
         "arch": ckpt.params.arch.to_dict(),
-        "adam": {key: getattr(ckpt.adam, key) for key in _ADAM_SCALARS},
+        "adam": {"t": ckpt.adam.t},
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(meta).encode("utf-8")
@@ -168,7 +156,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
             f.write(len(blob).to_bytes(4, "little"))
             f.write(blob)
             for _, a in arrays:
-                f.write(memoryview(np.ascontiguousarray(a, dtype=dt)))
+                f.write(memoryview(np.ascontiguousarray(a, dtype=_ARRAY_DTYPE)))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -177,16 +165,14 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 def _check_meta(path: str, meta) -> None:
-    """The metadata schema, checked before any field is read."""
+    """The metadata schema the loader reads, checked before any field is read."""
     def require(ok: bool, what: str) -> None:
         if not ok:
             raise FormatError(f"{path}: metadata {what}")
 
     require(isinstance(meta, dict), "must be a JSON object")
-    for key in ("epoch", "seed"):
-        require(type(meta.get(key)) is int, f"needs an integer {key!r}")
-    for key, names in (("arch", ("input_width", "encoder", "projector", "activation")),
-                       ("adam", _ADAM_SCALARS)):
+    require(type(meta.get("epoch")) is int, "needs an integer 'epoch'")
+    for key, names in (("arch", ("input_width", "encoder", "projector", "activation")), ("adam", ("t",))):
         require(isinstance(meta.get(key), dict) and set(names) <= meta[key].keys(),
                 f"needs an {key!r} object with keys {', '.join(names)}")
     require(isinstance(meta.get("arrays"), list), "needs an 'arrays' list")
@@ -217,22 +203,18 @@ def load_checkpoint(path: str) -> Checkpoint:
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long ints, deep nesting
         raise FormatError(f"{path}: unreadable metadata block ({exc})") from exc
     _check_meta(path, meta)
-    dtype = meta.get("dtype", "f64")
-    if not isinstance(dtype, str) or dtype not in _DTYPES:
-        raise FormatError(f"{path}: unknown array dtype {dtype!r}")
-    dt = _DTYPES[dtype]
     offset = 12 + meta_len
     values = {}
     for entry in meta["arrays"]:
         shape = tuple(entry["shape"])
         count = math.prod(shape)
-        nbytes = count * dt.itemsize
+        nbytes = count * _ARRAY_DTYPE.itemsize
         if len(raw) - offset < nbytes:
             raise FormatError(
                 f"{path}: truncated array {entry['name']!r} at byte offset {offset} "
                 f"(need {nbytes} bytes)"
             )
-        arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset).reshape(shape)
+        arr = np.frombuffer(raw, dtype=_ARRAY_DTYPE, count=count, offset=offset).reshape(shape)
         values[entry["name"]] = arr.astype(np.float64)
         offset += nbytes
     if offset != len(raw):
@@ -240,7 +222,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     try:
         arch = Arch.from_dict(meta["arch"])
-        adam = AdamState(**{key: (int if key == "t" else float)(meta["adam"][key]) for key in _ADAM_SCALARS})
+        adam = AdamState(m=[], v=[], t=int(meta["adam"]["t"]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad metadata value ({exc})") from exc
     # every shape is checked against the arch before the model is built
@@ -260,9 +242,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         params=ModelParams(arch, [Tensor(a) for a in groups[0]]),
         adam=adam,
         epoch=meta["epoch"],
-        seed=meta["seed"],
         config_text=str(meta.get("config", "")),
-        dtype=dtype,
     )
 
 
@@ -326,15 +306,12 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
         start_epoch = resume.epoch + 1
     else:
         params = init_params(arch, seed=cfg.seed)
-        adam = AdamState.for_params(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+        adam = AdamState.for_params(params)
         start_epoch = 1
 
     steps_per_epoch = len(dataset) // cfg.batch_size
     rows: list[dict] = []
-    ckpt = Checkpoint(
-        params=params, adam=adam, epoch=start_epoch - 1,
-        seed=cfg.seed, config_text=cfg.render(), dtype=cfg.checkpoint_dtype,
-    )
+    ckpt = Checkpoint(params=params, adam=adam, epoch=start_epoch - 1, config_text=cfg.render())
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -353,7 +330,7 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
                 grads = backward(bd.loss)
             except NumericError as exc:
                 raise NumericError(f"step {step} (epoch {epoch}): {exc}") from exc
-            adam_step(params, grads, adam)
+            adam_step(params, grads, adam, cfg.lr, cfg.weight_decay)
             del grads  # not held through the next step's forward and backward
             rows.append(metrics_row(step, epoch, lam, bd))
         ckpt.epoch = epoch

@@ -15,8 +15,8 @@ import pytest
 import trimix
 from trimix import data
 from trimix.cli import build_parser, run
-from trimix.config import load_config
-from trimix.train import pretrain
+from trimix.config import TriMixConfig, load_config
+from trimix.train import load_checkpoint, pretrain
 
 FAST_OVERRIDES = [
     "--set", "encoder_widths=12,8",
@@ -72,7 +72,7 @@ class TestPretrainCommand:
     @pytest.mark.parametrize("via", ["set", "config"])
     @pytest.mark.parametrize("key, replacement", [
         ("out_dir", "--out"), ("enable_vrt", "beta=0"), ("enable_con", "gamma=0"),
-        ("allow_degenerate", "no spread is always an error"),
+        ("allow_degenerate", "no spread is always an error"), ("checkpoint_dtype", "float64 arrays only"),
     ])
     def test_removed_key_exits_one_naming_its_replacement(self, tmp_path, capsys, key, replacement, via):
         setting = f"{key}={'runs/old' if key == 'out_dir' else 'false'}"
@@ -158,6 +158,46 @@ class TestPretrainCommand:
         assert sorted(os.listdir(out)) == ["checkpoint.tmx", "checkpoint_epoch2.tmx", "metrics.csv",
                                            "notes.txt", "resolved_config_pretrain.txt"]
         assert len(open(f"{out}/metrics.csv").read().splitlines()) == 1 + 6
+
+    def test_failed_fresh_run_leaves_its_snapshot_beside_no_earlier_output(self, tmp_path, capsys):
+        out = pretrain_once(tmp_path, "D")
+        capsys.readouterr()
+        code = run(["pretrain", *FAST_OVERRIDES, "--set", "lr=1e300", "--out", out])
+        assert code == 2
+        assert os.listdir(out) == ["resolved_config_pretrain.txt"]
+        assert "lr=1e+300" in open(f"{out}/resolved_config_pretrain.txt").read().splitlines()
+
+    def test_summary_counts_the_epochs_the_command_ran(self, tmp_path, capsys):
+        first = pretrain_once(tmp_path, "first")
+        assert capsys.readouterr().out.startswith(f"pretrained 1 epochs, 6 steps logged to {first}/metrics.csv\n")
+        second = str(tmp_path / "second")
+        code = run(["pretrain", *FAST_OVERRIDES, "--set", "epochs=3",
+                    "--resume", f"{first}/checkpoint.tmx", "--out", second])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(f"pretrained 2 epochs, 12 steps logged to {second}/metrics.csv\n")
+
+    def test_resume_trains_at_the_configs_lr_and_weight_decay(self, tmp_path, monkeypatch):
+        ckpt = f"{pretrain_once(tmp_path, 'first')}/checkpoint.tmx"
+        seen = []
+        step = trimix.train.adam_step
+
+        def recording(params, grads, state, lr, weight_decay):
+            seen.append((lr, weight_decay))
+            return step(params, grads, state, lr, weight_decay)
+
+        monkeypatch.setattr(trimix.train, "adam_step", recording)
+        same, changed = str(tmp_path / "same"), str(tmp_path / "changed")
+        for out, settings in ((same, []), (changed, ["--set", "lr=0.5", "--set", "weight_decay=0.1"])):
+            code = run(["pretrain", *FAST_OVERRIDES, "--set", "epochs=2", *settings, "--resume", ckpt, "--out", out])
+            assert code == 0
+        assert seen == [(1e-3, 1e-6)] * 6 + [(0.5, 0.1)] * 6
+        rows_same, rows_changed = (open(f"{out}/metrics.csv").read().splitlines() for out in (same, changed))
+        # the first step logs its loss before its update; every later step differs
+        assert rows_same[:2] == rows_changed[:2]
+        assert all(a != b for a, b in zip(rows_same[2:], rows_changed[2:]))
+        snapshot = open(f"{changed}/resolved_config_pretrain.txt").read()
+        assert {"lr=0.5", "weight_decay=0.1"} <= set(snapshot.splitlines())
+        assert load_checkpoint(f"{changed}/checkpoint.tmx").config_text == snapshot
 
     @pytest.mark.parametrize("setting, reason", [
         ("synthetic_noise=-0.1", "noise must be >= 0"),
@@ -401,6 +441,50 @@ class TestEvalCommands:
         ])
         assert code == 1
         assert "magic" in capsys.readouterr().err
+
+
+def in_the_earlier_layout(raw: bytes, dtype: str) -> bytes:
+    """The checkpoint `raw` in the layout of earlier versions: its metadata
+    also holds the array dtype, the seed and Adam's settings (the defaults
+    here), and its arrays are stored at `dtype`, "f64" or "f32"."""
+    meta_len = int.from_bytes(raw[8:12], "little")
+    meta = json.loads(raw[12:12 + meta_len])
+    defaults = TriMixConfig()
+    earlier = {
+        "dtype": dtype, "epoch": meta["epoch"], "seed": defaults.seed, "config": meta["config"],
+        "arch": meta["arch"],
+        "adam": {**meta["adam"], "lr": defaults.lr, "weight_decay": defaults.weight_decay,
+                 "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+        "arrays": meta["arrays"],
+    }
+    arrays = np.frombuffer(raw, "<f8", offset=12 + meta_len).astype("<f4" if dtype == "f32" else "<f8")
+    blob = json.dumps(earlier).encode("utf-8")
+    return raw[:8] + len(blob).to_bytes(4, "little") + blob + arrays.tobytes()
+
+
+class TestEarlierCheckpointLayout:
+    def test_f64_file_resumes_to_the_same_bytes(self, tmp_path):
+        ckpt = f"{pretrain_once(tmp_path, 'first')}/checkpoint.tmx"
+        earlier = str(tmp_path / "earlier.tmx")
+        open(earlier, "wb").write(in_the_earlier_layout(open(ckpt, "rb").read(), "f64"))
+        outputs = []
+        for name, source in (("from_current", ckpt), ("from_earlier", earlier)):
+            out = str(tmp_path / name)
+            code = run(["pretrain", *FAST_OVERRIDES, "--set", "epochs=2", "--resume", source, "--out", out])
+            assert code == 0
+            outputs.append([open(f"{out}/{f}", "rb").read() for f in ("metrics.csv", "checkpoint.tmx")])
+        assert outputs[0] == outputs[1]
+
+    def test_f32_file_is_one_error_line(self, tmp_path, capsys):
+        out = pretrain_once(tmp_path)
+        bad = str(tmp_path / "f32.tmx")
+        open(bad, "wb").write(in_the_earlier_layout(open(f"{out}/checkpoint.tmx", "rb").read(), "f32"))
+        capsys.readouterr()
+        code = run(["knn", *FAST_OVERRIDES, "--checkpoint", bad, "--out", str(tmp_path / "eval")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "truncated array" in err[0], err
+        assert not (tmp_path / "eval").exists()
 
 
 class TestVerificationCommands:

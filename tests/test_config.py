@@ -1,8 +1,12 @@
 """Flat key=value config format and validation rules."""
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from trimix.cli import run
-from trimix.config import TriMixConfig, load_config, parse_config
+from trimix.config import REMOVED_KEYS, TriMixConfig, load_config, parse_config
 from trimix.errors import BatchParityError, ContractError, FormatError
 
 
@@ -73,8 +77,6 @@ def test_invalid_choices_rejected():
         TriMixConfig(tau=0.0).validate()
     with pytest.raises(ContractError):
         TriMixConfig(beta=-1.0).validate()
-    with pytest.raises(ContractError):
-        TriMixConfig(checkpoint_dtype="f16").validate()
 
 
 def test_widths_parse_from_text():
@@ -151,3 +153,19 @@ def test_non_utf8_config_names_file_and_offset(tmp_path):
     path.write_bytes(b"seed=5\nepochs=\xff\n")
     with pytest.raises(FormatError, match=r"bad\.cfg: byte 0xff at byte offset 14"):
         load_config(str(path))
+
+
+def readme_config_keys() -> set:
+    """Every backticked key in the first column of the README's configuration table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    return {key for cell in rows for key in re.findall(r"`([^`]+)`", cell)}
+
+
+def test_readme_configuration_table_names_only_current_keys():
+    current = {f.name for f in fields(TriMixConfig)}
+    keys = readme_config_keys()
+    assert len(keys) >= 20
+    assert keys <= current, sorted(keys - current)
+    assert not REMOVED_KEYS.keys() & current

@@ -30,7 +30,7 @@ def make_checkpoint(input_width=64, seed=0) -> Checkpoint:
     cfg = TriMixConfig(encoder_widths=(24, 12), projector_widths=(12, 8)).validate()
     arch = cfg.arch_for(input_width)
     params = init_params(arch, seed=seed)
-    return Checkpoint(params=params, adam=AdamState.for_params(params, 1e-3, 0.0), epoch=0, seed=seed)
+    return Checkpoint(params=params, adam=AdamState.for_params(params), epoch=0)
 
 
 def params_digest(ckpt: Checkpoint) -> str:

@@ -28,9 +28,9 @@ JSON_VALUES = st.recursive(
 
 # every metadata field of the fixture checkpoint (18 arrays: 6 params, Adam m and v)
 META_PATHS = (
-    [(k,) for k in ("dtype", "epoch", "seed", "config", "arch", "adam", "arrays")]
+    [(k,) for k in ("epoch", "config", "arch", "adam", "arrays")]
     + [("arch", k) for k in ("input_width", "encoder", "projector", "activation")]
-    + [("adam", k) for k in ("t", "lr", "weight_decay", "beta1", "beta2", "eps")]
+    + [("adam", "t")]
     + [("arrays", i, k) for i in (0, 7, 17) for k in ("name", "shape")]
 )
 DELETE = object()
@@ -55,8 +55,7 @@ def workdir(tmp_path_factory):
 def checkpoint_bytes(workdir):
     arch = Arch(input_width=4, encoder=(3,), projector=(2, 2))
     params = init_params(arch, seed=1)
-    ckpt = Checkpoint(params=params, adam=AdamState.for_params(params, 1e-3, 0.0),
-                      epoch=2, seed=1, config_text="seed=1\n")
+    ckpt = Checkpoint(params=params, adam=AdamState.for_params(params), epoch=2, config_text="seed=1\n")
     path = str(workdir / "valid.tmx")
     save_checkpoint(path, ckpt)
     return open(path, "rb").read()

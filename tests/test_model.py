@@ -202,8 +202,7 @@ class TestParamTable:
         arch = Arch(*ARCHS[name])
         params = init_params(arch, seed=0)
         path = str(tmp_path / "c.tmx")
-        save_checkpoint(path, Checkpoint(params=params, adam=AdamState.for_params(params, 1e-3, 0.0),
-                                         epoch=0, seed=0))
+        save_checkpoint(path, Checkpoint(params=params, adam=AdamState.for_params(params), epoch=0))
         with open(path, "rb") as f:
             raw = f.read()
         meta = json.loads(raw[12:12 + int.from_bytes(raw[8:12], "little")])
