@@ -210,7 +210,7 @@ def gradcheck(cfg: TriMixConfig, batch: int = 8, side: int = 16) -> float:
     bd = trimix_step_loss(views, attached, cfg, GRADCHECK_LAMBDA)
     tape_grads = backward(bd.loss)
 
-    flat = [t.data for t in params.tensors()]
+    flat = [t.data for t in params.flat]
     tape_flat = np.concatenate([g.reshape(-1) for g in tape_grads])
     draw = data.derived_rng(cfg.seed)
     along, tape_along = [], []

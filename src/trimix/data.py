@@ -58,8 +58,12 @@ class Dataset:
 
 @dataclass
 class ViewPair:
-    """Two independently augmented views of one batch; labels ride along
-    for the evaluators only and never reach the objective."""
+    """Two independently augmented views of one batch.
+
+    Nothing reads `labels`.  The field and `two_views(labels=)` stay only
+    because the benchmark's `gradcheck_small` setup (perfbench/workloads.py)
+    passes `labels=`; they go with the next change to the benchmark
+    (ROADMAP, open item 1)."""
 
     x: np.ndarray  # [B, C, H, W]
     x_prime: np.ndarray

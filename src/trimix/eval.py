@@ -224,11 +224,12 @@ def finetune_semi(
     k = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
     head_w = np.zeros((params.arch.representation_width, k))
     head_b = np.zeros(k)
-    encoder = [t.data for t in params.tensors()[:params.encoder_end]]
+    encoder = [t.data for t in params.flat[:params.encoder_end]]
+    projector = params.flat[params.encoder_end:]  # off the tape: encode never reads it
 
     def loss_of(idx, leaves):
         *enc, w, b = leaves
-        y = encode(Tensor(images[idx].reshape(len(idx), -1)), ModelParams(params.arch, enc))
+        y = encode(Tensor(images[idx].reshape(len(idx), -1)), ModelParams(params.arch, enc + projector))
         return softmax_cross_entropy(affine(y, w, b), labels[idx])
 
     _sgd_fit(encoder + [head_w, head_b], n, min(probe_cfg.batch_size, n - n % 2), (0xFE,), loss_of, probe_cfg)

@@ -75,8 +75,7 @@ class Arch:
 
 @dataclass
 class ModelParams:
-    """Parameter tensors in `arch.param_shapes()` order.  An encoder-only
-    set, enough for `encode`, is the first `encoder_end` of them."""
+    """Every parameter tensor of `arch`, in `arch.param_shapes()` order."""
 
     arch: Arch
     flat: list
@@ -86,18 +85,16 @@ class ModelParams:
         # the encoder/projector split, computed once: the forward pass
         # indexes `flat` and builds no per-call lists
         self.encoder_end = 2 * len(self.arch.encoder)
-        if len(self.flat) not in (self.encoder_end, self.encoder_end + 2 * len(self.arch.projector)):
-            raise ContractError(f"model params: {len(self.flat)} tensors fit neither the arch nor its encoder")
-
-    def tensors(self) -> list[Tensor]:
-        return list(self.flat)
+        want = self.encoder_end + 2 * len(self.arch.projector)
+        if len(self.flat) != want:
+            raise ContractError(f"model params: {len(self.flat)} tensors for an arch of {want}")
 
     def names(self) -> list[str]:
-        return [name for name, _ in self.arch.param_shapes()[:len(self.flat)]]
+        return [name for name, _ in self.arch.param_shapes()]
 
     def attach(self, tape: Tape) -> "ModelParams":
         """Register every parameter as a tape leaf (storage is shared), in
-        `tensors()` and `names()` order: the order `backward` returns their
+        `flat` and `names()` order: the order `backward` returns their
         gradients in."""
         return ModelParams(self.arch, [tape.leaf(t) for t in self.flat])
 
@@ -124,20 +121,21 @@ def init_params(arch: Arch, seed: int) -> ModelParams:
     return ModelParams(arch, flat)
 
 
-def _stack(h: Tensor, flat: list, lo: int, hi: int, activation: str) -> Tensor:
+def _stack(h: Tensor, flat: list, lo: int, hi: int, activation: str,
+           bounds: tuple | None) -> Tensor:
     """The affine layers whose (weight, bias) are flat[lo:hi], with ReLU
     between consecutive layers under the relu activation."""
     use_relu = activation == "relu"
     for i in range(lo, hi, 2):
         if use_relu and i != lo:
             h = relu(h)
-        h = affine(h, flat[i], flat[i + 1])
+        h = affine(h, flat[i], flat[i + 1], bounds)
     return h
 
 
-def encode(x: Tensor, params: ModelParams) -> Tensor:
+def encode(x: Tensor, params: ModelParams, bounds: tuple | None = None) -> Tensor:
     """Encoder stack only: the representation Y of a flattened Bxin batch,
-    or of a stack of them marked by `x.bounds` (see `tensor.affine`)."""
+    or of a stack of them with row bounds `bounds` (see `tensor.affine`)."""
     shape = x.data.shape
     if len(shape) != 2:
         raise DimensionError(f"forward: expected a flattened Bxin batch, got shape {list(shape)}")
@@ -145,14 +143,12 @@ def encode(x: Tensor, params: ModelParams) -> Tensor:
         raise DimensionError(
             f"forward: input width {shape[1]} does not match arch input {params.arch.input_width}"
         )
-    return _stack(x, params.flat, 0, params.encoder_end, params.arch.activation)
+    return _stack(x, params.flat, 0, params.encoder_end, params.arch.activation, bounds)
 
 
-def forward(x: Tensor, params: ModelParams) -> ForwardResult:
+def forward(x: Tensor, params: ModelParams, bounds: tuple | None = None) -> ForwardResult:
     """Run encoder then projector on a flattened Bxin batch, or on a
-    stack of them; Y and Z keep the stack's row blocks."""
-    if len(params.flat) == params.encoder_end:
-        raise ContractError("forward: the parameter set is encoder-only; it has no projector")
-    y = encode(x, params)
+    stack of them with row bounds `bounds`; Y and Z keep those rows."""
+    y = encode(x, params, bounds)
     return ForwardResult(y=y, z=_stack(y, params.flat, params.encoder_end, len(params.flat),
-                                       params.arch.activation))
+                                       params.arch.activation, bounds))

@@ -2,8 +2,8 @@
 
 One training step mixes a view with its row-reversed batch by the
 step's mixing factor λ, stacks both views and this virtual batch into
-one (3B, in) tensor whose `bounds` mark the three row blocks, pushes it
-through the network in one pass, and combines three terms: the
+one (3B, in) tensor, pushes it through the network in one pass with the
+three row blocks' bounds, and combines three terms: the
 redundancy-reduction loss on the feature correlation matrix, the
 decomposition loss tying the sample-similarity matrix to its mixing
 ground truth, and the consistency loss tying virtual embeddings to the
@@ -151,8 +151,6 @@ def trimix_step_loss(views, params: ModelParams, cfg, lam: float, trace: dict | 
     """
     x, xp = _flatten_views(views)
     b = x.data.shape[0]
-    if b % 2 != 0:
-        raise BatchParityError(f"trimix step: batch size {b} is odd, need an even batch")
     norm = cfg.normalize_on
     vrt_level, con_level = cfg.placement[0], cfg.placement[1]
 
@@ -161,8 +159,7 @@ def trimix_step_loss(views, params: ModelParams, cfg, lam: float, trace: dict | 
         # x, x' and the virtual batch share one pass as row blocks 0, 1, 2
         x_vrt = mixup(x, lam)
         stack = Tensor(np.concatenate((x.data, xp.data, x_vrt.data)))
-        stack.bounds = (0, b, 2 * b, 3 * b)
-        out = forward(stack, params)
+        out = forward(stack, params, (0, b, 2 * b, 3 * b))
         z, z_p, z_vrt = (rows(out.z, i * b, (i + 1) * b) for i in range(3))
         if "Y" in cfg.placement:
             y, y_vrt = rows(out.y, 0, b), rows(out.y, 2 * b, 3 * b)

@@ -16,18 +16,19 @@ tape, one node.  State that only the backward pass reads is built inside
 the op's rule, so a value computed off the tape never builds it.
 
 Several batches can share one pass through a stack of layers as row
-blocks of one tensor: the caller concatenates them and sets the tensor's
-block `bounds`, and `affine` and `relu` carry them on.  Each matrix
-product runs block by block, into the block's rows of one output: BLAS
-may round a row differently when the matrix around it has more rows, so
-this keeps the bytes of one pass per batch.  The bias add, ReLU, the
-finiteness check and the tape node are paid once for the stack.  Weight
-and bias gradients add last block first, the order a sweep adds them
-when each batch has its own nodes.  `rows` splits a block back out.
+blocks of one tensor: the caller concatenates them and passes their row
+bounds to each `affine`.  Each matrix product runs block by block, into
+the block's rows of one output: BLAS may round a row differently when
+the matrix around it has more rows, so this keeps the bytes of one pass
+per batch.  The bias add, ReLU, the finiteness check and the tape node
+are paid once for the stack.  Weight and bias gradients add last block
+first, the order a sweep adds them when each batch has its own nodes.
+`rows` splits a block back out.
 """
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,19 +60,14 @@ def as_array(values) -> Array:
 
 
 class Tensor:
-    """Row-major float64 array, optionally attached to a tape node.
+    """Row-major float64 array, optionally attached to a tape node."""
 
-    `bounds`, when set, are the row bounds (0, ..., rows) of the blocks
-    stacked in the array; an `affine` output is a stack of at least one.
-    """
-
-    __slots__ = ("data", "tape", "node", "bounds")
+    __slots__ = ("data", "tape", "node")
 
     def __init__(self, values, tape: Optional["Tape"] = None, node: Optional[int] = None):
         self.data = as_array(values)
         self.tape = tape
         self.node = node
-        self.bounds: Optional[tuple] = None
 
     @property
     def shape(self) -> tuple:
@@ -172,9 +168,7 @@ def relu(t: Tensor) -> Tensor:
     out = np.maximum(t.data, 0.0)
     # the mask from the output: out > 0 exactly where the input is, so the
     # subgradient is 0 at 0.0 and -0.0 (and the next affine keeps out alive)
-    res = apply_op("relu", (t,), out, lambda g: (g * (out > 0),), check=False)
-    res.bounds = t.bounds
-    return res
+    return apply_op("relu", (t,), out, lambda g: (g * (out > 0),), check=False)
 
 
 def rows(t: Tensor, lo: int, hi: int) -> Tensor:
@@ -235,21 +229,24 @@ def _blockwise(blocks: list, bounds: tuple, wd: Array, g: Array, dx: bool) -> tu
     return gx, gw, gb
 
 
-def affine(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+def affine(x: Tensor, w: Tensor, bias: Tensor, bounds: Optional[Sequence[int]] = None) -> Tensor:
     """Fused x @ w + bias: one tape node per layer, for a stack of row
-    blocks (`x.bounds`) or a single batch."""
+    blocks with row bounds (0, ..., rows), or for one block by default."""
     xd, wd, bd = x.data, w.data, bias.data
     _check_affine(xd, wd, bd)
-    bounds = x.bounds or (0, xd.shape[0])
+    n = xd.shape[0]
+    if bounds is None:
+        bounds = (0, n)
+    elif len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n \
+            or not all(map(operator.lt, bounds, bounds[1:])):
+        raise DimensionError(f"affine: row bounds {list(bounds)} must rise strictly from 0 to {n}")
     blocks = [xd[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    out = np.empty((bounds[-1], wd.shape[1]))
+    out = np.empty((n, wd.shape[1]))
     for lo, hi, xb in zip(bounds, bounds[1:], blocks):
         np.matmul(xb, wd, out=out[lo:hi])
     out += bd
     dx = x.node is not None  # an off-tape input (the image batch) takes no gradient
-    res = apply_op("affine", (x, w, bias), out, lambda g: _blockwise(blocks, bounds, wd, g, dx))
-    res.bounds = bounds
-    return res
+    return apply_op("affine", (x, w, bias), out, lambda g: _blockwise(blocks, bounds, wd, g, dx))
 
 
 def backward(loss: Tensor) -> list[Array]:

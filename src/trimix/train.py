@@ -50,8 +50,8 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        tensors = params.tensors()
-        return cls(m=[np.zeros_like(t.data) for t in tensors], v=[np.zeros_like(t.data) for t in tensors])
+        return cls(m=[np.zeros_like(t.data) for t in params.flat],
+                   v=[np.zeros_like(t.data) for t in params.flat])
 
 
 # values per block temporary: three 64 KiB temporaries stay in cache
@@ -91,7 +91,7 @@ def adam_step(params: ModelParams, grads: list, state: AdamState, lr: float,
     per-element operations in the order of the whole-array formula, so the
     results are the same bits.  The caller's gradients are only read.
     """
-    tensors = params.tensors()
+    tensors = params.flat
     _check_adam_inputs(tensors, grads, state)
     state.t += 1
     b1, b2, wd, eps = BETA1, BETA2, weight_decay, EPS
@@ -138,7 +138,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     previous file at `path` is left as it was.
     """
     names = ckpt.params.names()
-    groups = ([t.data for t in ckpt.params.tensors()], ckpt.adam.m, ckpt.adam.v)
+    groups = ([t.data for t in ckpt.params.flat], ckpt.adam.m, ckpt.adam.v)
     arrays = [(f"{kind}:{n}", a) for kind, group in zip(_ARRAY_KINDS, groups) for n, a in zip(names, group)]
     meta = {
         "epoch": ckpt.epoch,

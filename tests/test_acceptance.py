@@ -150,7 +150,7 @@ def test_criterion_5_structural_invariants():
         zs_p = standardize(forward(xp, att_b).z, "batch")
         l_inv, l_rr = loss_bt(cross_correlation(zs, zs_p, "features"))
         grads_bt = backward(add(l_inv, scalar_mul(l_rr, bt_cfg.alpha)))
-        assert len(grads_trimix) == len(grads_bt) == len(params.tensors())
+        assert len(grads_trimix) == len(grads_bt) == len(params.flat)
         for g, g_bt in zip(grads_trimix, grads_bt):
             assert np.abs(g - g_bt).max() <= 1e-12
         trials += 1
@@ -220,7 +220,7 @@ def test_default_run_bytes_are_pinned(default_run, tmp_path):
     _, _, _, ckpt, rows, _ = default_run
     write_metrics(str(tmp_path / "metrics.csv"), rows)
     h = hashlib.sha256((tmp_path / "metrics.csv").read_bytes())
-    for a in [t.data for t in ckpt.params.tensors()] + ckpt.adam.m + ckpt.adam.v:
+    for a in [t.data for t in ckpt.params.flat] + ckpt.adam.m + ckpt.adam.v:
         h.update(a.tobytes())
     assert h.hexdigest() == DEFAULT_RUN_SHA256
 
@@ -287,7 +287,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     half_path = str(tmp_path / "half.tmx")
     save_checkpoint(half_path, half)
     resumed, resumed_rows = pretrain(cfg10, ds, resume=load_checkpoint(half_path))
-    for ours, theirs in ((resumed.params.tensors(), straight.params.tensors()),
+    for ours, theirs in ((resumed.params.flat, straight.params.flat),
                          (resumed.adam.m, straight.adam.m), (resumed.adam.v, straight.adam.v)):
         for a, b in zip(ours, theirs):
             assert getattr(a, "data", a).tobytes() == getattr(b, "data", b).tobytes()

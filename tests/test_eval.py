@@ -35,7 +35,7 @@ def make_checkpoint(input_width=64, seed=0) -> Checkpoint:
 
 def params_digest(ckpt: Checkpoint) -> str:
     h = hashlib.sha256()
-    for t in ckpt.params.tensors():
+    for t in ckpt.params.flat:
         h.update(t.data.tobytes())
     return h.hexdigest()
 

@@ -13,10 +13,7 @@ from conftest import contract, rng_for
 import trimix
 from trimix import oracle
 from trimix.errors import ContractError, DimensionError
-from trimix.config import TriMixConfig
-from trimix.data import AugmentPolicy, two_views
 from trimix.model import Arch, ModelParams, encode, forward, init_params
-from trimix.objective import trimix_step_loss
 from trimix.tensor import Tape, Tensor, backward
 from trimix.train import AdamState, Checkpoint, save_checkpoint
 
@@ -65,14 +62,14 @@ class TestInit:
         arch = Arch(input_width=12, encoder=(6, 4), projector=(4,))
         a = init_params(arch, seed=99)
         b = init_params(arch, seed=99)
-        for ta, tb in zip(a.tensors(), b.tensors()):
+        for ta, tb in zip(a.flat, b.flat):
             assert np.array_equal(ta.data, tb.data)
 
     def test_different_seed_differs(self):
         arch = Arch(input_width=12, encoder=(6,), projector=(4,))
         a = init_params(arch, seed=1)
         b = init_params(arch, seed=2)
-        assert not np.array_equal(a.tensors()[0].data, b.tensors()[0].data)
+        assert not np.array_equal(a.flat[0].data, b.flat[0].data)
 
     def test_biases_zero(self):
         params = init_params(Arch(input_width=8), seed=5)
@@ -136,11 +133,11 @@ class TestForward:
         arch = Arch(input_width=5, encoder=(4,), projector=(3,))
         params = init_params(arch, seed=9)
         x = rng_for(34).normal(size=(4, 5))
-        before = [t.data.copy() for t in params.tensors()]
+        before = [t.data.copy() for t in params.flat]
         a = forward(Tensor(x), params)
         b = forward(Tensor(x), params)
         assert np.array_equal(a.z.data, b.z.data)
-        for t, orig in zip(params.tensors(), before):
+        for t, orig in zip(params.flat, before):
             assert np.array_equal(t.data, orig)
 
     def test_width_mismatch(self):
@@ -153,23 +150,16 @@ class TestForward:
         params = init_params(arch, seed=10)
         x = Tensor(rng_for(35).normal(size=(6, 5)))
         tape = Tape()
-        encoder_only = ModelParams(arch, params.attach(tape).tensors()[:2 * len(arch.encoder)])
-        y = encode(x, encoder_only)
+        y = encode(x, params.attach(tape))
         np.testing.assert_array_equal(y.data, forward(x, params).y.data)
         assert [n.kind for n in tape.nodes if n.kind != "leaf"] == ["affine", "relu", "affine"]
 
-    def test_encoder_only_set_has_no_forward(self):
+    def test_only_the_full_arch_is_a_parameter_set(self):
         arch = Arch(input_width=4, encoder=(3,), projector=(2,))
         params = init_params(arch, seed=11)
-        x = Tensor(rng_for(37).normal(size=(4, 4)))
-        encoder_only = ModelParams(arch, params.tensors()[:2])
-        with pytest.raises(ContractError, match="encoder-only"):
-            forward(x, encoder_only)
-        with pytest.raises(ContractError, match="encoder-only"):
-            trimix_step_loss(two_views(x.data.reshape(4, 1, 2, 2), AugmentPolicy(), 0),
-                             encoder_only, TriMixConfig(), 0.5)
-        with pytest.raises(ContractError, match="3 tensors fit neither"):
-            ModelParams(arch, params.tensors()[:3])
+        for count in (0, 2, 3, 5):  # 2 is the encoder alone; the arch has 4
+            with pytest.raises(ContractError, match=f"^model params: {count} tensors for an arch of 4$"):
+                ModelParams(arch, (params.flat * 2)[:count])
 
     def test_attach_shares_storage(self):
         params = init_params(Arch(input_width=3, encoder=(2,), projector=(2,)), seed=2)
@@ -180,22 +170,22 @@ class TestForward:
     def test_names_align_with_tensors(self):
         params = init_params(Arch(input_width=3, encoder=(2, 2), projector=(2,)), seed=3)
         names = params.names()
-        assert len(names) == len(params.tensors())
+        assert len(names) == len(params.flat)
         assert names[0] == "encoder.0.weight"
         assert names[-1] == "projector.0.bias"
 
 
 class TestParamTable:
     """`Arch.param_shapes()` names, shapes and orders the parameters for
-    init, checkpoints and the encoder-only prefix alike."""
+    init, checkpoints and `encode` alike."""
 
     @pytest.mark.parametrize("name", sorted(ARCHS))
     def test_table_matches_init(self, name):
         arch = Arch(*ARCHS[name])
         params = init_params(arch, seed=0)
-        assert arch.param_shapes() == [(n, t.data.shape) for n, t in zip(params.names(), params.tensors())]
-        assert len(params.names()) == len(params.tensors())
-        assert arch.param_count() == sum(t.data.size for t in params.tensors())
+        assert arch.param_shapes() == [(n, t.data.shape) for n, t in zip(params.names(), params.flat)]
+        assert len(params.names()) == len(params.flat)
+        assert arch.param_count() == sum(t.data.size for t in params.flat)
 
     @pytest.mark.parametrize("name", sorted(ARCHS))
     def test_table_matches_checkpoint_index(self, name, tmp_path):
@@ -215,8 +205,7 @@ class TestParamTable:
         arch = Arch(*ARCHS[name])
         params = init_params(arch, seed=1)
         x = Tensor(rng_for(36).uniform(size=(8, arch.input_width)))
-        prefix = ModelParams(arch, params.tensors()[:2 * len(arch.encoder)])
-        assert encode(x, prefix).data.tobytes() == forward(x, params).y.data.tobytes()
+        assert encode(x, params).data.tobytes() == forward(x, params).y.data.tobytes()
 
 
 def test_model_params_copy_is_deep():
@@ -261,8 +250,7 @@ for name, (width, enc, proj) in ARCHS.items():
             attached = params.attach(tape)
             if stacked:
                 stack = Tensor(np.concatenate([x.data for x in xs]))
-                stack.bounds = (0, b, 2 * b, 3 * b)
-                z = forward(stack, attached).z
+                z = forward(stack, attached, (0, b, 2 * b, 3 * b)).z
                 zs = [rows(z, lo, lo + b) for lo in range(0, 3 * b, b)]
             else:
                 zs = [forward(x, attached).z for x in xs]

@@ -287,7 +287,7 @@ class TestStepLoss:
         l_inv, l_rr = loss_bt(cross_correlation(zs, zs_p, "features"))
         total = add(l_inv, scalar_mul(l_rr, cfg.alpha))
         grads_b = backward(total)
-        assert len(grads_a) == len(grads_b) == len(params.tensors())
+        assert len(grads_a) == len(grads_b) == len(params.flat)
         for a, b in zip(grads_a, grads_b):
             assert np.abs(a - b).max() <= 1e-12
 
@@ -302,7 +302,7 @@ class TestStepLoss:
         tape_grads = backward(bd.loss)
         fd = oracle.finite_diff(
             lambda: trimix_step_loss(views, params, cfg, 0.3).total,
-            [t.data for t in params.tensors()],
+            [t.data for t in params.flat],
         )
         err = max(oracle.max_relative_error(a, b) for a, b in zip(tape_grads, fd))
         assert err < 1e-4

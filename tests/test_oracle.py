@@ -181,7 +181,7 @@ class TestObjectiveFiniteDiff:
         total = self.step_total(cfg, views, params)
         assert abs(value - total) <= 1e-12 * abs(total)
         scalar = finite_diff(lambda: self.step_total(cfg, views, params),
-                             [t.data for t in params.tensors()])
+                             [t.data for t in params.flat])
         assert [g.shape for g in grads] == [g.shape for g in scalar]
         err = max(max_relative_error(a, b) for a, b in zip(grads, scalar))
         assert err <= 1e-6, f"batched vs scalar finite differences differ by {err:.3e}"

@@ -1,8 +1,13 @@
 """Tensor/tape semantics: forward values, backward rules, tape contracts."""
+import importlib
+import pkgutil
+import sys
+
 import numpy as np
 import pytest
-from conftest import contract, op_gradcheck, rng_for
+from conftest import contract, imported_names, op_gradcheck, rng_for
 
+import trimix
 from trimix import eval as evaluation
 from trimix import objective, stats, tensor
 from trimix.config import TriMixConfig
@@ -48,8 +53,8 @@ class TestAffine:
 
 
 class TestRowBlocks:
-    """Off-tape batches stacked as the row blocks of one tensor (its
-    `bounds`) through `affine`, split by `rows`."""
+    """Off-tape batches stacked as the row blocks of one tensor, whose row
+    bounds `affine` takes, split by `rows`."""
 
     def _blocks(self, seed, sizes=(4, 4, 4), din=3, dout=2):
         rng = rng_for(seed)
@@ -58,23 +63,24 @@ class TestRowBlocks:
 
     @staticmethod
     def _stack(xs):
+        """The stacked tensor and its row bounds."""
         stack = Tensor(np.concatenate([x.data for x in xs]))
-        stack.bounds = tuple(np.cumsum([0] + [x.data.shape[0] for x in xs]).tolist())
-        return stack
+        return stack, tuple(np.cumsum([0] + [x.data.shape[0] for x in xs]).tolist())
 
     def test_stacked_output_is_the_blocks_outputs(self):
         xs, w, b = self._blocks(20, sizes=(2, 4, 2))
-        out = affine(self._stack(xs), Tensor(w), Tensor(b))
-        assert out.bounds == (0, 2, 6, 8)
+        stack, bounds = self._stack(xs)
+        assert bounds == (0, 2, 6, 8)
+        out = affine(stack, Tensor(w), Tensor(b), bounds)
         expected = np.concatenate([affine(x, Tensor(w), Tensor(b)).data for x in xs])
         assert out.data.tobytes() == expected.tobytes()
-        assert relu(out).bounds == out.bounds
 
     def test_one_node_whose_gradients_add_last_block_first(self):
         xs, w, b = self._blocks(21)
         g = rng_for(22).normal(size=(12, 2))
+        stack, bounds = self._stack(xs)
         tape = Tape()
-        out = affine(self._stack(xs), tape.leaf(Tensor(w)), tape.leaf(Tensor(b)))
+        out = affine(stack, tape.leaf(Tensor(w)), tape.leaf(Tensor(b)), bounds)
         assert [n.kind for n in tape.nodes] == ["leaf", "leaf", "affine"]
         assert tape.nodes[out.node].parents == (None, 0, 1)
         gx, gw, gb = tape.nodes[out.node].rule(g)
@@ -87,19 +93,26 @@ class TestRowBlocks:
         xs, w, b = self._blocks(23, dout=3)
         w2 = rng_for(24).normal(size=(3, 2))
         g = rng_for(25).normal(size=(12, 2))
+        stack, bounds = self._stack(xs)
         tape = Tape()
-        h = affine(self._stack(xs), Tensor(w), Tensor(b))
-        hl = tape.leaf(h)
-        hl.bounds = h.bounds
-        out = affine(hl, tape.leaf(Tensor(w2)), tape.leaf(Tensor(np.zeros(2))))
+        h = affine(stack, Tensor(w), Tensor(b), bounds)
+        out = affine(tape.leaf(h), tape.leaf(Tensor(w2)), tape.leaf(Tensor(np.zeros(2))), bounds)
         gx, _, _ = tape.nodes[out.node].rule(g)
         expected = np.concatenate([g[i:i + 4] @ w2.T for i in (0, 4, 8)])
         assert gx.tobytes() == expected.tobytes()
 
     def test_stack_must_fit(self):
         xs, w, b = self._blocks(26, din=5)
+        stack, bounds = self._stack(xs)
         with pytest.raises(DimensionError, match="inner dimensions"):
-            affine(self._stack(xs), Tensor(rng_for(27).normal(size=(3, 2))), Tensor(b))
+            affine(stack, Tensor(rng_for(27).normal(size=(3, 2))), Tensor(b), bounds)
+
+    @pytest.mark.parametrize("bounds", [(0, 4, 7), (0, 5, 3, 8), (1, 8), (0, 4, 4, 8), (0,), ()])
+    def test_bounds_must_rise_strictly_from_zero_to_the_rows(self, bounds):
+        # ends short of the rows, falls, starts past 0, an empty block, no block
+        x = Tensor(rng_for(28).normal(size=(8, 3)))
+        with pytest.raises(DimensionError, match="^affine: row bounds"):
+            affine(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), bounds)
 
     def test_rows_shares_storage_and_checks_bounds(self):
         t = Tensor(np.arange(12.0).reshape(6, 2))
@@ -352,12 +365,12 @@ class TestGradientList:
         tape = Tape()
         attached, loss = _default_step(tape)
         leaf_ids = [nid for nid, node in enumerate(tape.nodes) if node.kind == "leaf"]
-        assert [t.node for t in attached.tensors()] == leaf_ids  # attach registers in tensors() order
+        assert [t.node for t in attached.flat] == leaf_ids  # attach registers in flat order
         grads = backward(loss)
         assert len(grads) == len(attached.names()) == 10
-        assert [g.shape for g in grads] == [t.shape for t in attached.tensors()]
+        assert [g.shape for g in grads] == [t.shape for t in attached.flat]
         for i, g in enumerate(grads):
-            for other in grads[i + 1:] + [t.data for t in attached.tensors()]:
+            for other in grads[i + 1:] + [t.data for t in attached.flat]:
                 assert not np.shares_memory(g, other)
 
 
@@ -395,7 +408,7 @@ class TestRuleAliasing:
     def test_every_rule_of_a_default_step(self, monkeypatch):
         def record(tape):
             attached, _ = _default_step(tape)
-            return [t.data for t in attached.tensors()]
+            return [t.data for t in attached.flat]
 
         kinds = self._check_rules(monkeypatch, record)
         assert kinds == {
@@ -448,3 +461,14 @@ def test_randomized_gradient_check(name):
     for case in range(50):
         arrays = make(rng_for(100, case))
         op_gradcheck(build, arrays, seed_note=f"{name} case {case}")
+
+
+def test_package_imports_only_the_standard_library_numpy_and_itself():
+    """The tape runs on numpy alone: no module of the package imports
+    anything else."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "trimix"}
+    modules = [trimix] + [importlib.import_module(f"trimix.{info.name}")
+                          for info in pkgutil.iter_modules(trimix.__path__)]
+    for module in modules:
+        outside = {n for n in imported_names(module) if n.split(".")[0] not in allowed}
+        assert not outside, (module.__name__, sorted(outside))

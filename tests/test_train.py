@@ -27,7 +27,7 @@ from trimix.train import (
 def scalar_params(theta: float) -> ModelParams:
     arch = Arch(input_width=1, encoder=(1,), projector=(1,))
     params = init_params(arch, seed=0)
-    for t in params.tensors():
+    for t in params.flat:
         t.data[...] = theta
     return params
 
@@ -57,19 +57,19 @@ class TestAdam:
     def test_zero_gradients_fix_parameters(self):
         params = scalar_params(1.25)
         state = AdamState.for_params(params)
-        before = [t.data.copy() for t in params.tensors()]
-        adam_step(params, [np.zeros_like(t.data) for t in params.tensors()], state, 0.1, 0.0)
-        for t, orig in zip(params.tensors(), before):
+        before = [t.data.copy() for t in params.flat]
+        adam_step(params, [np.zeros_like(t.data) for t in params.flat], state, 0.1, 0.0)
+        for t, orig in zip(params.flat, before):
             assert np.array_equal(t.data, orig)
 
     def test_first_step_closed_form(self):
         params = scalar_params(0.0)
         state = AdamState.for_params(params)
         g = 0.37
-        grads = [np.full_like(t.data, g) for t in params.tensors()]
+        grads = [np.full_like(t.data, g) for t in params.flat]
         adam_step(params, grads, state, 1e-3, 0.0)
         expected = -1e-3 * g / (abs(g) + train.EPS)
-        for t in params.tensors():
+        for t in params.flat:
             assert np.abs(t.data - expected).max() < 1e-6
 
     def test_quadratic_trajectory_matches_scalar_oracle(self):
@@ -78,7 +78,7 @@ class TestAdam:
         weight = params.flat[0]
         seen = []
         for _ in range(10):
-            grads = [np.zeros_like(t.data) for t in params.tensors()]
+            grads = [np.zeros_like(t.data) for t in params.flat]
             grads[0][...] = 2.0 * weight.data  # d/dtheta theta^2
             adam_step(params, grads, state, 0.1, 0.0)
             seen.append(float(weight.data[0, 0]))
@@ -90,7 +90,7 @@ class TestAdam:
         state = AdamState.for_params(params)
         rng = np.random.default_rng(0)
         for _ in range(25):
-            grads = [rng.normal(size=t.data.shape) for t in params.tensors()]
+            grads = [rng.normal(size=t.data.shape) for t in params.flat]
             adam_step(params, grads, state, 0.01, 1e-6)
             assert all((v >= 0).all() for v in state.v)
         assert state.t == 25
@@ -105,15 +105,15 @@ class TestAdam:
         params = init_params(SMALL_ARCH, seed=2)
         state = AdamState.for_params(params)
         rng = np.random.default_rng(3)
-        adam_step(params, [rng.normal(size=t.data.shape) for t in params.tensors()], state, 0.01, 1e-4)
-        before = ([t.data.copy() for t in params.tensors()],
+        adam_step(params, [rng.normal(size=t.data.shape) for t in params.flat], state, 0.01, 1e-4)
+        before = ([t.data.copy() for t in params.flat],
                   [a.copy() for a in state.m], [a.copy() for a in state.v])
-        grads = [rng.normal(size=t.data.shape) for t in params.tensors()]
+        grads = [rng.normal(size=t.data.shape) for t in params.flat]
         grads[-1] = np.zeros(grads[-1].size + 1)
         with pytest.raises(ContractError, match=f"index {len(grads) - 1}"):
             adam_step(params, grads, state, 0.01, 1e-4)
         assert state.t == 1
-        after = ([t.data for t in params.tensors()], state.m, state.v)
+        after = ([t.data for t in params.flat], state.m, state.v)
         for old, new in zip(before, after):
             assert all(np.array_equal(a, b) for a, b in zip(old, new))
 
@@ -121,7 +121,7 @@ class TestAdam:
     def test_arrays_a_flat_view_cannot_update_are_rejected(self, what):
         params = init_params(SMALL_ARCH, seed=2)
         state = AdamState.for_params(params)
-        grads = [np.ones_like(t.data) for t in params.tensors()]
+        grads = [np.ones_like(t.data) for t in params.flat]
         if what == "parameter":
             w = params.flat[0]
             w.data = np.asfortranarray(w.data)
@@ -132,7 +132,7 @@ class TestAdam:
             adam_step(params, grads, state, 0.01, 0.0)
         assert state.t == 0
         assert all((t.data == t0.data).all() for t, t0 in
-                   zip(params.tensors(), init_params(SMALL_ARCH, seed=2).tensors()))
+                   zip(params.flat, init_params(SMALL_ARCH, seed=2).flat))
 
     @pytest.mark.parametrize("weight_decay", [1e-3, 0.0])
     def test_blocked_update_equals_whole_array_formula(self, weight_decay):
@@ -142,7 +142,7 @@ class TestAdam:
         arch = Arch(input_width=size // 4, encoder=(4,), projector=(3,))
         params = init_params(arch, seed=5)
         state = AdamState.for_params(params)
-        ref_p = [t.data.copy() for t in params.tensors()]
+        ref_p = [t.data.copy() for t in params.flat]
         ref_m = [np.zeros_like(p) for p in ref_p]
         ref_v = [np.zeros_like(p) for p in ref_p]
         b1, b2, eps = train.BETA1, train.BETA2, train.EPS
@@ -159,7 +159,7 @@ class TestAdam:
                 ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
                 ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (g * g)
                 ref_p[i] -= 3e-3 * (ref_m[i] / bc1) / (np.sqrt(ref_v[i] / bc2) + eps)
-            for got, want in zip((params.tensors(), state.m, state.v), (ref_p, ref_m, ref_v)):
+            for got, want in zip((params.flat, state.m, state.v), (ref_p, ref_m, ref_v)):
                 for a, b in zip(got, want):
                     a = getattr(a, "data", a)
                     assert a.tobytes() == b.tobytes()
@@ -168,7 +168,7 @@ class TestAdam:
     def test_traced_peak_stays_under_a_megabyte(self):
         params = init_params(WIDE_ARCH, seed=1)
         state = AdamState.for_params(params)
-        grads = [np.full_like(t.data, 0.5) for t in params.tensors()]
+        grads = [np.full_like(t.data, 0.5) for t in params.flat]
         tracemalloc.start()
         try:
             adam_step(params, grads, state, 1e-3, 1e-6)
@@ -191,7 +191,7 @@ class TestCheckpoint:
         ckpt = self._checkpoint()
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
-        for a, b in zip(ckpt.params.tensors(), loaded.params.tensors()):
+        for a, b in zip(ckpt.params.flat, loaded.params.flat):
             assert np.array_equal(a.data, b.data)
         for a, b in zip(ckpt.adam.m, loaded.adam.m):
             assert np.array_equal(a, b)
@@ -217,7 +217,7 @@ class TestCheckpoint:
 
     def test_streamed_save_traced_peak_stays_under_one_array(self, tmp_path):
         ckpt = self._checkpoint(arch=WIDE_ARCH)
-        largest = max(t.data.nbytes for t in ckpt.params.tensors())
+        largest = max(t.data.nbytes for t in ckpt.params.flat)
         tracemalloc.start()
         try:
             save_checkpoint(str(tmp_path / "c.tmx"), ckpt)
@@ -299,7 +299,7 @@ class TestPretrain:
         resumed, rows_resumed = pretrain(tiny_cfg(epochs=10), ds, resume=load_checkpoint(path))
 
         assert resumed.epoch == straight.epoch and resumed.adam.t == straight.adam.t
-        for ours, theirs in ((resumed.params.tensors(), straight.params.tensors()),
+        for ours, theirs in ((resumed.params.flat, straight.params.flat),
                              (resumed.adam.m, straight.adam.m), (resumed.adam.v, straight.adam.v)):
             for a, b in zip(ours, theirs):
                 assert getattr(a, "data", a).tobytes() == getattr(b, "data", b).tobytes()
