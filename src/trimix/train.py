@@ -316,26 +316,32 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
-    for epoch in range(start_epoch, cfg.epochs + 1):
-        lams = _epoch_lambdas(cfg, epoch, steps_per_epoch)
-        for b_idx, indices in enumerate(batches(len(dataset), cfg.batch_size, cfg.seed, STREAM_SHUFFLE, epoch)):
-            step = (epoch - 1) * steps_per_epoch + b_idx
-            views = two_views(dataset.images[indices], policy, cfg.seed, STREAM_AUGMENT, epoch, b_idx,
-                              labels=dataset.labels[indices])
-            lam = lams[b_idx]
-            tape = Tape()
-            attached = params.attach(tape)
-            try:
-                bd = trimix_step_loss(views, attached, cfg, lam)
-                grads = backward(bd.loss)
-            except NumericError as exc:
-                raise NumericError(f"step {step} (epoch {epoch}): {exc}") from exc
-            adam_step(params, grads, adam, cfg.lr, cfg.weight_decay)
-            del grads  # not held through the next step's forward and backward
-            rows.append(metrics_row(step, epoch, lam, bd))
-        ckpt.epoch = epoch
-        if out_dir is not None and cfg.save_every > 0 and epoch % cfg.save_every == 0:
-            save_checkpoint(os.path.join(out_dir, f"checkpoint_epoch{epoch:04d}.tmx"), ckpt)
+    # imported here: concurrent.futures loads logging (about 0.6 MB), which
+    # no other command needs.  The worker thread for large stacked products
+    # starts at its first use, and the with-block joins it before returning.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for epoch in range(start_epoch, cfg.epochs + 1):
+            lams = _epoch_lambdas(cfg, epoch, steps_per_epoch)
+            for b_idx, indices in enumerate(batches(len(dataset), cfg.batch_size, cfg.seed, STREAM_SHUFFLE, epoch)):
+                step = (epoch - 1) * steps_per_epoch + b_idx
+                views = two_views(dataset.images[indices], policy, cfg.seed, STREAM_AUGMENT, epoch, b_idx,
+                                  labels=dataset.labels[indices])
+                lam = lams[b_idx]
+                tape = Tape(worker)
+                attached = params.attach(tape)
+                try:
+                    bd = trimix_step_loss(views, attached, cfg, lam)
+                    grads = backward(bd.loss)
+                except NumericError as exc:
+                    raise NumericError(f"step {step} (epoch {epoch}): {exc}") from exc
+                adam_step(params, grads, adam, cfg.lr, cfg.weight_decay)
+                del grads  # not held through the next step's forward and backward
+                rows.append(metrics_row(step, epoch, lam, bd))
+            ckpt.epoch = epoch
+            if out_dir is not None and cfg.save_every > 0 and epoch % cfg.save_every == 0:
+                save_checkpoint(os.path.join(out_dir, f"checkpoint_epoch{epoch:04d}.tmx"), ckpt)
 
     if out_dir is not None:
         save_checkpoint(os.path.join(out_dir, "checkpoint.tmx"), ckpt)

@@ -586,3 +586,55 @@ def test_pretrain_bytes_do_not_depend_on_blas_threads(tmp_path):
         outputs.append([open(f"{out}/{name}", "rb").read() for name in ("metrics.csv", "checkpoint.tmx")])
         shutil.rmtree(out)
     assert outputs[0] == outputs[1]
+
+
+# a pretrain through the CLI whose executor counts its submits; "serial"
+# raises the worker's size threshold above every product
+_COUNTED_PRETRAIN = r"""
+import concurrent.futures
+import sys
+
+import trimix.cli
+import trimix.tensor
+
+
+class Recording(concurrent.futures.ThreadPoolExecutor):
+    submits = 0
+
+    def submit(self, *args, **kwargs):
+        Recording.submits += 1
+        return super().submit(*args, **kwargs)
+
+
+concurrent.futures.ThreadPoolExecutor = Recording  # the executor train.pretrain opens
+if sys.argv[1] == "serial":
+    trimix.tensor._WORKER_MACS = float("inf")
+code = trimix.cli.run(["pretrain", *sys.argv[2:]])
+print(Recording.submits)
+sys.exit(code)
+"""
+
+WIDE_OVERRIDES = [
+    "--set", "synthetic_size=28", "--set", "synthetic_train=512", "--set", "batch_size=256",
+    "--set", "encoder_widths=512,256", "--set", "projector_widths=256,256,128",
+    "--set", "aug_pad=0", "--set", "epochs=1", "--set", "save_every=0",
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_worker_thread_changes_no_byte_of_a_wide_run(tmp_path, threads):
+    """A 1-epoch pretrain at the benchmark's wide shape writes the same
+    metrics and checkpoint bytes with its large products on the worker
+    thread and with every product on the calling thread."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trimix.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+    outputs, submits = [], []
+    for mode in ("worker", "serial"):
+        out = str(tmp_path / mode)
+        done = subprocess.run([sys.executable, "-c", _COUNTED_PRETRAIN, mode, *WIDE_OVERRIDES, "--out", out],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        submits.append(int(done.stdout.splitlines()[-1]))
+        outputs.append([open(f"{out}/{name}", "rb").read() for name in ("metrics.csv", "checkpoint.tmx")])
+    assert submits[0] > 0 and submits[1] == 0, submits
+    assert outputs[0] == outputs[1]

@@ -219,6 +219,9 @@ def test_model_params_copy_is_deep():
 # Runs in a fresh interpreter so the BLAS thread count is set before numpy
 # loads.  Prints one line per output that differs; silent when all hold.
 _STACKED_PASS = r"""
+import json
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from trimix.model import Arch, forward, init_params
 from trimix.tensor import Tape, Tensor, add, apply_op, backward, rows
@@ -233,39 +236,54 @@ ARCHS = {  # input width, encoder, projector
 }
 
 
+class Recording(ThreadPoolExecutor):
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        return super().submit(*args, **kwargs)
+
+
 def contract(t, r):
     return apply_op("contract", (t,), np.array([float((t.data * r).sum())]),
                     lambda g: (float(g[0]) * r,))
 
 
-for name, (width, enc, proj) in ARCHS.items():
-    params = init_params(Arch(width, enc, proj), seed=0)
-    for b in (2, 8, 64, 256):
-        rng = np.random.default_rng(b)
-        xs = [Tensor(rng.uniform(size=(b, width))) for _ in range(3)]
-        rs = [rng.normal(size=(b, proj[-1])) for _ in range(3)]
-        runs = []
-        for stacked in (False, True):
-            tape = Tape()
-            attached = params.attach(tape)
-            if stacked:
-                stack = Tensor(np.concatenate([x.data for x in xs]))
-                z = forward(stack, attached, (0, b, 2 * b, 3 * b)).z
-                zs = [rows(z, lo, lo + b) for lo in range(0, 3 * b, b)]
-            else:
-                zs = [forward(x, attached).z for x in xs]
-            s0, s1, s2 = (contract(zi, r) for zi, r in zip(zs, rs))
-            grads = backward(add(add(s0, s1), s2))
-            runs.append([zi.data for zi in zs] + grads)
-        for i, (a, c) in enumerate(zip(*runs)):
-            if a.shape != c.shape or a.tobytes() != c.tobytes():
-                print(f"{name} B={b}: output {i} differs")
+submits = {}
+with Recording(max_workers=1) as worker:
+    for name, (width, enc, proj) in ARCHS.items():
+        params = init_params(Arch(width, enc, proj), seed=0)
+        for b in (2, 8, 64, 256):
+            rng = np.random.default_rng(b)
+            xs = [Tensor(rng.uniform(size=(b, width))) for _ in range(3)]
+            rs = [rng.normal(size=(b, proj[-1])) for _ in range(3)]
+            runs = []
+            worker.submits = 0
+            for stacked, on in ((False, None), (True, None), (True, worker)):
+                tape = Tape(on)
+                attached = params.attach(tape)
+                if stacked:
+                    stack = Tensor(np.concatenate([x.data for x in xs]))
+                    z = forward(stack, attached, (0, b, 2 * b, 3 * b)).z
+                    zs = [rows(z, lo, lo + b) for lo in range(0, 3 * b, b)]
+                else:
+                    zs = [forward(x, attached).z for x in xs]
+                s0, s1, s2 = (contract(zi, r) for zi, r in zip(zs, rs))
+                grads = backward(add(add(s0, s1), s2))
+                runs.append([zi.data for zi in zs] + grads)
+            submits[f"{name} B={b}"] = worker.submits
+            for run, how in zip(runs[1:], ("without a worker", "with a worker")):
+                for i, (a, c) in enumerate(zip(runs[0], run)):
+                    if a.shape != c.shape or a.tobytes() != c.tobytes():
+                        print(f"{name} B={b} {how}: output {i} differs")
+print(json.dumps(submits))
 """
 
 
 class TestStackedPass:
     """One stacked pass of three batches, split by `rows`, gives the bytes
-    of one pass per batch: embeddings and every parameter gradient."""
+    of one pass per batch: embeddings and every parameter gradient, with
+    and without a worker on the tape.  The worker takes only large block
+    products: the wide archs' at B=256, never the shipped arch's at
+    B <= 64 or the gradcheck arch's."""
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bit_identical_to_one_pass_per_batch(self, threads):
@@ -275,4 +293,11 @@ class TestStackedPass:
         done = subprocess.run([sys.executable, "-c", _STACKED_PASS], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "", f"OPENBLAS_NUM_THREADS={threads}:\n{done.stdout}"
+        *diffs, last = done.stdout.splitlines()
+        assert diffs == [], f"OPENBLAS_NUM_THREADS={threads}:\n{done.stdout}"
+        submits = json.loads(last)
+        assert submits["pretrain_wide B=256"] > 0 and submits["narrow_head B=256"] > 0, submits
+        for b in (2, 8, 64, 256):
+            assert submits[f"gradcheck_small B={b}"] == 0, submits
+            if b <= 64:
+                assert submits[f"default B={b}"] == 0, submits

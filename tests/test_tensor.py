@@ -1,7 +1,13 @@
 """Tensor/tape semantics: forward values, backward rules, tape contracts."""
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from trimix.data import SyntheticSpec, synthetic_blobs, two_views
 from trimix.errors import ContractError, DetachedValueError, DimensionError, NumericError
 from trimix.model import init_params
 from trimix.tensor import Tape, Tensor, add, affine, apply_op, backward, relu, rows, scalar_mul
+from trimix.train import pretrain
 
 
 class TestAffine:
@@ -100,6 +107,20 @@ class TestRowBlocks:
         gx, _, _ = tape.nodes[out.node].rule(g)
         expected = np.concatenate([g[i:i + 4] @ w2.T for i in (0, 4, 8)])
         assert gx.tobytes() == expected.tobytes()
+
+    def test_the_worker_computes_the_same_bytes(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_WORKER_MACS", 0)
+        xs, w, b = self._blocks(29, sizes=(4, 3, 5), din=6, dout=5)
+        g = rng_for(30).normal(size=(12, 5))
+        stack, bounds = self._stack(xs)
+        results = []
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for on in (None, worker):
+                tape = Tape(on)
+                out = affine(tape.leaf(stack), tape.leaf(Tensor(w)), tape.leaf(Tensor(b)), bounds)
+                results.append([out.data] + list(tape.nodes[out.node].rule(g)))
+        for serial, forked in zip(*results):
+            assert serial.tobytes() == forked.tobytes()
 
     def test_stack_must_fit(self):
         xs, w, b = self._blocks(26, din=5)
@@ -472,3 +493,95 @@ def test_package_imports_only_the_standard_library_numpy_and_itself():
     for module in modules:
         outside = {n for n in imported_names(module) if n.split(".")[0] not in allowed}
         assert not outside, (module.__name__, sorted(outside))
+
+
+class _FailingWorker:
+    """A worker whose tasks run on their own threads: the first `good` run
+    as asked, every later one sleeps, sets `raised` and raises MemoryError."""
+
+    def __init__(self, good: int):
+        self.good = good
+        self.raised = threading.Event()
+        self.futures, self.threads = [], []
+
+    def submit(self, fn, *args):
+        future, fails = Future(), len(self.futures) >= self.good
+
+        def task():
+            if not fails:
+                future.set_result(fn(*args))
+                return
+            time.sleep(0.05)
+            self.raised.set()
+            future.set_exception(MemoryError("worker out of memory"))
+
+        self.futures.append(future)
+        self.threads.append(threading.Thread(target=task))
+        self.threads[-1].start()
+        return future
+
+    def join(self):
+        for t in self.threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+
+
+@pytest.mark.parametrize("phase", ["forward", "backward"])
+def test_a_worker_error_reaches_the_caller_after_every_task_ends(monkeypatch, phase):
+    monkeypatch.setattr(tensor, "_WORKER_MACS", 0)
+    rng = rng_for(31)
+    stack, w, b = rng.normal(size=(9, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    worker = _FailingWorker(good=0 if phase == "forward" else 1)
+    tape = Tape(worker)
+    try:
+        with pytest.raises(MemoryError, match="worker out of memory"):
+            h = affine(tape.leaf(Tensor(stack)), tape.leaf(Tensor(w)), tape.leaf(Tensor(b)), (0, 3, 6, 9))
+            backward(contract(h))
+        assert worker.raised.is_set()
+        assert len(worker.futures) == (1 if phase == "forward" else 3)
+        assert all(f.done() for f in worker.futures)
+    finally:
+        worker.join()
+
+
+def test_importing_the_package_starts_no_thread():
+    src = str(pathlib.Path(trimix.__file__).resolve().parents[1])
+    script = ("import importlib, pkgutil, threading, trimix\n"
+              "for info in pkgutil.iter_modules(trimix.__path__):\n"
+              "    importlib.import_module(f'trimix.{info.name}')\n"
+              "print(threading.active_count())")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1\n"
+
+
+def _counted_starts(monkeypatch) -> list:
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def test_a_default_pretrain_starts_no_thread(monkeypatch):
+    cfg = TriMixConfig(epochs=2, save_every=0).validate()
+    ds = synthetic_blobs(cfg.synthetic_spec("train"))
+    started = _counted_starts(monkeypatch)
+    pretrain(cfg, ds)
+    assert started == []
+
+
+def test_a_wide_pretrain_ends_the_thread_it_starts(monkeypatch):
+    cfg = TriMixConfig(synthetic_size=28, synthetic_train=512, batch_size=256, encoder_widths=(512, 256),
+                       projector_widths=(256, 256, 128), aug_pad=0, epochs=1, save_every=0).validate()
+    ds = synthetic_blobs(cfg.synthetic_spec("train"))
+    before = threading.active_count()
+    started = _counted_starts(monkeypatch)
+    pretrain(cfg, ds)
+    assert len(started) == 1
+    assert threading.active_count() == before
