@@ -66,15 +66,11 @@ def load_split(cfg: TriMixConfig, split: str) -> data.Dataset:
     the split needs and the config leaves unset is an error naming its key."""
     if cfg.dataset == "synthetic":
         return data.synthetic_blobs(cfg.synthetic_spec(split))
-    if cfg.dataset == "idx":
-        keys = (f"idx_{split}_images", f"idx_{split}_labels")
-    else:
-        keys = (f"csv_{split}",)
+    keys = (f"idx_{split}_images", f"idx_{split}_labels")
     for key in keys:
         if not getattr(cfg, key):
-            raise ContractError(f"dataset={cfg.dataset} needs {key} for the {split} split, but it is unset")
-    paths = [getattr(cfg, key) for key in keys]
-    return data.load_idx(*paths) if cfg.dataset == "idx" else data.load_csv(*paths)
+            raise ContractError(f"dataset=idx needs {key} for the {split} split, but it is unset")
+    return data.load_idx(*(getattr(cfg, key) for key in keys))
 
 
 def write_snapshot(args, cfg: TriMixConfig) -> None:

@@ -6,7 +6,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .data import AugmentPolicy, SyntheticSpec, read_text
+from .data import AugmentPolicy, SyntheticSpec
 from .errors import BatchParityError, ContractError, FormatError
 from .model import Arch
 
@@ -20,8 +20,6 @@ class TriMixConfig:
     beta: float = 1000.0
     gamma: float = 200.0
     tau: float = 2.0
-    lambda_policy: str = "uniform"  # "uniform" | "fixed"
-    lambda_fixed: float = 0.5
     enable_feature_norm: bool = True
     normalize_on: bool = True
     placement: str = "ZZ"
@@ -37,7 +35,7 @@ class TriMixConfig:
     weight_decay: float = 1e-6
     save_every: int = 25
     # data
-    dataset: str = "synthetic"  # synthetic | idx | csv
+    dataset: str = "synthetic"  # synthetic | idx
     synthetic_classes: int = 3
     synthetic_train: int = 600
     synthetic_test: int = 300
@@ -48,8 +46,6 @@ class TriMixConfig:
     idx_train_labels: str = ""
     idx_test_images: str = ""
     idx_test_labels: str = ""
-    csv_train: str = ""
-    csv_test: str = ""
     # augmentation
     aug_pad: int = 2
     aug_hflip: float = 0.5
@@ -88,14 +84,8 @@ class TriMixConfig:
             raise ContractError(f"finetune_fraction must lie in (0, 1], got {self.finetune_fraction}")
         if self.placement not in PLACEMENTS:
             raise ContractError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
-        if self.lambda_policy not in ("uniform", "fixed"):
-            raise ContractError(
-                f"lambda_policy must be 'uniform' or 'fixed' (the factor is lambda_fixed), got {self.lambda_policy!r}"
-            )
-        if not 0.0 <= self.lambda_fixed <= 1.0:
-            raise ContractError(f"fixed lambda must lie in [0, 1], got {self.lambda_fixed}")
-        if self.dataset not in ("synthetic", "idx", "csv"):
-            raise ContractError(f"dataset must be synthetic, idx, or csv, got {self.dataset!r}")
+        if self.dataset not in ("synthetic", "idx"):
+            raise ContractError(f"dataset must be synthetic or idx (external data is IDX files), got {self.dataset!r}")
         if self.save_every < 0:
             raise ContractError(f"save_every must be >= 0 (0 = no snapshots), got {self.save_every}")
         # the objects a run builds from these settings check their own rules
@@ -150,7 +140,10 @@ _FIELDS = {f.name: f for f in fields(TriMixConfig)}
 REMOVED_KEYS = {"out_dir": "--out sets the output directory", "enable_vrt": "beta=0 switches the term off",
                 "enable_con": "gamma=0 switches the term off",
                 "allow_degenerate": "a standardized slice with no spread is always an error",
-                "checkpoint_dtype": "checkpoints store float64 arrays only"}
+                "checkpoint_dtype": "checkpoints store float64 arrays only",
+                "csv_train": "write IDX files and set dataset=idx", "csv_test": "write IDX files and set dataset=idx",
+                "lambda_policy": "lambda is drawn uniformly each step",
+                "lambda_fixed": "lambda is drawn uniformly each step"}
 
 
 def _format_value(value) -> str:
@@ -210,4 +203,12 @@ def parse_config(text: str) -> TriMixConfig:
 def load_config(path: str) -> TriMixConfig:
     if not os.path.exists(path):
         raise FormatError(f"config file not found: {path}")
-    return parse_config(read_text(path))
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: byte 0x{raw[exc.start]:02x} at byte offset {exc.start} is not valid UTF-8"
+        ) from exc
+    return parse_config(text)

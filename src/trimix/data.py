@@ -9,8 +9,6 @@ generator with each image's starting state (`streams.initial_states`).
 """
 from __future__ import annotations
 
-import csv as csv_module
-import io
 import struct
 import sys
 from dataclasses import dataclass
@@ -162,64 +160,6 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
             f"(need {8 + n_labels} bytes total)"
         )
     labels = np.frombuffer(lbuf, dtype=np.uint8, count=n_labels, offset=8).astype(np.int64)
-    return Dataset(images=images, labels=labels)
-
-
-def read_text(path: str) -> str:
-    """The file's contents decoded as UTF-8, or a FormatError at the first bad byte."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(
-            f"{path}: byte 0x{raw[exc.start]:02x} at byte offset {exc.start} is not valid UTF-8"
-        ) from exc
-
-
-def load_csv(path: str) -> Dataset:
-    """Rows of `label, pixel0..pixelP-1` with byte-valued pixels 0-255."""
-    rows = []
-    reader = csv_module.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            try:
-                values = [int(v) for v in row]
-            except ValueError as exc:
-                raise FormatError(f"{path}: row {line_no}: non-integer cell ({exc})") from exc
-            rows.append((line_no, values))
-    except csv_module.Error as exc:
-        raise FormatError(f"{path}: row {reader.line_num}: {exc}") from exc
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    width = len(rows[0][1])
-    if width < 2:
-        raise FormatError(f"{path}: row 1: need a label plus at least one pixel")
-    pixel_count = width - 1
-    labels = np.empty(len(rows), dtype=np.int64)
-    flat = np.empty((len(rows), pixel_count), dtype=np.float64)
-    for i, (line_no, values) in enumerate(rows):
-        if len(values) != width:
-            raise FormatError(f"{path}: row {line_no}: expected {width} cells, got {len(values)}")
-        if not 0 <= values[0] < 2**63:  # an int64 class id
-            raise FormatError(f"{path}: row {line_no}: label {values[0]} out of range")
-        pix = values[1:]
-        if min(pix) < 0 or max(pix) > 255:
-            raise FormatError(f"{path}: row {line_no}: pixel byte outside 0-255")
-        labels[i] = values[0]
-        flat[i] = pix
-    side = int(round(np.sqrt(pixel_count)))
-    if side * side == pixel_count:
-        c, h, w = 1, side, side
-    else:
-        side = int(round(np.sqrt(pixel_count / 3)))
-        if pixel_count % 3 == 0 and side * side * 3 == pixel_count:
-            c, h, w = 3, side, side
-        else:
-            raise FormatError(f"{path}: {pixel_count} pixels per row is not a square image")
-    images = flat.reshape(len(rows), c, h, w) / 255.0
     return Dataset(images=images, labels=labels)
 
 

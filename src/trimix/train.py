@@ -283,11 +283,9 @@ def write_metrics(path: str, rows: list[dict]) -> None:
 
 
 def _epoch_lambdas(cfg, epoch: int, steps: int) -> list[float]:
-    """Each step's mixing factor: `lambda_fixed`, or batch b's
+    """Each step's mixing factor, uniform in [0, 1): batch b's
     derived_rng(seed, STREAM_LAMBDA, epoch, b).random(), computed for the
     whole epoch from the streams' first words."""
-    if cfg.lambda_policy == "fixed":
-        return [float(cfg.lambda_fixed)] * steps
     words = raw_words(cfg.seed, (STREAM_LAMBDA, epoch), np.arange(steps)[:, None], 1)
     return as_random(words[:, 0]).tolist()
 

@@ -73,6 +73,9 @@ class TestPretrainCommand:
     @pytest.mark.parametrize("key, replacement", [
         ("out_dir", "--out"), ("enable_vrt", "beta=0"), ("enable_con", "gamma=0"),
         ("allow_degenerate", "no spread is always an error"), ("checkpoint_dtype", "float64 arrays only"),
+        ("csv_train", "write IDX files"), ("csv_test", "write IDX files"),
+        ("lambda_policy", "lambda is drawn uniformly each step"),
+        ("lambda_fixed", "lambda is drawn uniformly each step"),
     ])
     def test_removed_key_exits_one_naming_its_replacement(self, tmp_path, capsys, key, replacement, via):
         setting = f"{key}={'runs/old' if key == 'out_dir' else 'false'}"
@@ -282,12 +285,20 @@ class TestDatasetSplits:
             assert code == 1
             assert "idx_test_images" in capsys.readouterr().err
 
-    def test_pretrain_without_csv_train_names_the_key(self, tmp_path, capsys):
+    def test_pretrain_dataset_csv_names_idx(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run(["pretrain", *FAST_OVERRIDES, "--set", "dataset=csv", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "csv_train" in err, err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "IDX" in err, err
+        assert not out.exists()
+
+    def test_pretrain_idx_without_train_images_names_the_key(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run(["pretrain", *FAST_OVERRIDES, "--set", "dataset=idx", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "idx_train_images" in err, err
         assert not out.exists()
 
     def test_synthetic_pretrain_builds_only_the_training_split(self, tmp_path, monkeypatch):

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from trimix.cli import run
 from trimix.config import REMOVED_KEYS, TriMixConfig, load_config, parse_config
 from trimix.errors import BatchParityError, ContractError, FormatError
 
@@ -47,22 +46,6 @@ def test_negative_loss_weight_rejected(name):
 def test_missing_equals_rejected():
     with pytest.raises(FormatError, match="key=value"):
         parse_config("seed 5\n")
-
-
-@pytest.mark.parametrize("via", ["set", "config"])
-def test_lambda_policy_fixed_v_exits_one_naming_lambda_fixed(tmp_path, capsys, via):
-    """The factor has one key: `fixed(v)` is one error line naming it."""
-    if via == "set":
-        source = ["--set", "lambda_policy=fixed(0.3)"]
-    else:
-        (tmp_path / "old.cfg").write_text("seed=7\nlambda_policy=fixed(0.3)\n")
-        source = ["--config", str(tmp_path / "old.cfg")]
-    assert run(["pretrain", *source, "--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "lambda_fixed" in err[0], err
-    assert not (tmp_path / "x").exists()
-    cfg = parse_config("lambda_policy=fixed\nlambda_fixed=0.3\n").validate()
-    assert cfg.lambda_policy == "fixed" and cfg.lambda_fixed == 0.3
 
 
 def test_odd_batch_rejected():
@@ -155,17 +138,22 @@ def test_non_utf8_config_names_file_and_offset(tmp_path):
         load_config(str(path))
 
 
-def readme_config_keys() -> set:
-    """Every backticked key in the first column of the README's configuration table."""
+def readme_configuration_section() -> str:
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
-    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
-    return {key for cell in rows for key in re.findall(r"`([^`]+)`", cell)}
+    return text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_readme_configuration_table_names_only_current_keys():
+    """Every backticked key in the first column of the README's configuration
+    table is a current key."""
     current = {f.name for f in fields(TriMixConfig)}
-    keys = readme_config_keys()
+    rows = [line.split("|")[1] for line in readme_configuration_section().splitlines() if line.startswith("| `")]
+    keys = {key for cell in rows for key in re.findall(r"`([^`]+)`", cell)}
     assert len(keys) >= 20
     assert keys <= current, sorted(keys - current)
     assert not REMOVED_KEYS.keys() & current
+
+
+def test_readme_configuration_names_every_removed_key():
+    named = set(re.findall(r"`([^`]+)`", readme_configuration_section()))
+    assert REMOVED_KEYS.keys() <= named, sorted(REMOVED_KEYS.keys() - named)

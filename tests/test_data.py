@@ -14,7 +14,6 @@ from trimix.data import (
     SyntheticSpec,
     batches,
     derived_rng,
-    load_csv,
     load_idx,
     synthetic_blobs,
     two_views,
@@ -71,46 +70,6 @@ class TestIdx:
         )
         with pytest.raises(FormatError, match="labels"):
             load_idx(img_path, lbl_path)
-
-
-class TestCsv:
-    def test_square_rows_decode(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("1,0,64,128,255\n0,10,20,30,40\n")
-        ds = load_csv(str(path))
-        assert ds.images.shape == (2, 1, 2, 2)
-        np.testing.assert_allclose(ds.images[0, 0], [[0, 64], [128, 255]] / np.float64(255))
-        assert list(ds.labels) == [1, 0]
-
-    def test_pixel_out_of_range_names_row(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,0,0,0,0\n1,0,300,0,0\n")
-        with pytest.raises(FormatError, match="row 2"):
-            load_csv(str(path))
-
-    def test_negative_label_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("-1,0,0,0,0\n")
-        with pytest.raises(FormatError, match="label"):
-            load_csv(str(path))
-
-    def test_label_beyond_int64_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"{2**63},0,0,0,0\n")
-        with pytest.raises(FormatError, match="label"):
-            load_csv(str(path))
-
-    def test_non_square_pixel_count_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,1,2,3,4,5\n")
-        with pytest.raises(FormatError, match="square"):
-            load_csv(str(path))
-
-    def test_non_utf8_byte_names_file_and_offset(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_bytes(b"0,1,2,3,4\n1,5,\xff,7,8\n")
-        with pytest.raises(FormatError, match=r"bad\.csv: byte 0xff at byte offset 14"):
-            load_csv(str(path))
 
 
 class TestSynthetic:

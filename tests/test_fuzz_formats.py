@@ -1,5 +1,5 @@
 """Seeded fuzzing of every input format: a malformed checkpoint, IDX
-pair, CSV or config ends in a TriMixError, never in another exception.
+pair or config ends in a TriMixError, never in another exception.
 
 Only the loaders (and `validate`) run; nothing trains.  Hypothesis is
 derandomized with no example database, so every run draws the same cases.
@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trimix.config import load_config
-from trimix.data import load_csv, load_idx
+from trimix.data import load_idx
 from trimix.errors import TriMixError
 from trimix.model import Arch, init_params
 from trimix.train import AdamState, Checkpoint, load_checkpoint, save_checkpoint
@@ -152,22 +152,6 @@ class TestIdx:
     @given(images=st.binary(max_size=20), labels=st.binary(max_size=12))
     def test_short_files(self, workdir, images, labels):
         load_idx_bytes(workdir, images, labels)
-
-
-CSV_TEXT = st.text(alphabet=st.sampled_from(list("0123456789,-+ \n\r\"x.")) | st.characters(), max_size=120)
-
-
-class TestCsv:
-    @FUZZ
-    @given(text=CSV_TEXT)
-    @example(text=f"{2**63},1,2,3,4\n")
-    def test_text(self, workdir, text):
-        load_bytes(workdir, "data.csv", text.encode("utf-8", "surrogatepass"), load_csv)
-
-    @FUZZ
-    @given(raw=st.binary(max_size=80))
-    def test_bytes(self, workdir, raw):
-        load_bytes(workdir, "data.csv", raw, load_csv)
 
 
 CONFIG_KEYS = ["seed", "epochs", "lr", "batch_size", "probe_batch", "probe_epochs", "probe_lr", "knn_k",

@@ -317,8 +317,7 @@ class TestPretrain:
         assert (tmp_path / "run" / "checkpoint_epoch0001.tmx").exists()
         assert len(rows) == 2 * (48 // 8)
 
-    @pytest.mark.parametrize("policy", ["uniform", "fixed"])
-    def test_lambda_column_follows_the_policy(self, monkeypatch, policy):
+    def test_lambda_column_is_drawn_uniformly_per_step(self, monkeypatch):
         made = []
 
         def counting(seed, prefix, rows, n):
@@ -326,15 +325,13 @@ class TestPretrain:
             return raw_words(seed, prefix, rows, n)
 
         monkeypatch.setattr(train, "raw_words", counting)
-        cfg = tiny_cfg(lambda_policy=policy, lambda_fixed=0.3)
+        cfg = tiny_cfg()
         _, rows = pretrain(cfg, synthetic_blobs(cfg.synthetic_spec("train")))
         per_epoch = cfg.synthetic_train // cfg.batch_size
         keys = [(2, r["epoch"], r["step"] - (r["epoch"] - 1) * per_epoch) for r in rows]
-        if policy == "uniform":
-            assert [r["lambda"] for r in rows] == [derived_rng(cfg.seed, *k).random() for k in keys]
-        else:
-            assert [r["lambda"] for r in rows] == [0.3] * len(rows)
-            assert made == []
+        assert [r["lambda"] for r in rows] == [derived_rng(cfg.seed, *k).random() for k in keys]
+        # one batch-wide draw per epoch, from the mixing-factor stream
+        assert made == [(2, epoch) for epoch in range(1, cfg.epochs + 1)]
 
     def test_metrics_floats_round_trip(self, tmp_path):
         value = 0.0123456789012345678
