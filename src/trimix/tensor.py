@@ -20,10 +20,11 @@ blocks of one tensor: the caller concatenates them and passes their row
 bounds to each `affine`.  Each matrix product runs block by block, into
 the block's rows of one output: BLAS may round a row differently when
 the matrix around it has more rows, so this keeps the bytes of one pass
-per batch.  The bias add, ReLU, the finiteness check and the tape node
-are paid once for the stack.  Weight and bias gradients add last block
-first, the order a sweep adds them when each batch has its own nodes.
-`rows` splits a block back out.
+per batch.  ReLU, the finiteness check and the tape node are paid once
+for the stack, and so is the bias add unless a worker computes blocks
+(then each block adds its bias right after its product).  Weight and
+bias gradients add last block first, the order a sweep adds them when
+each batch has its own nodes.  `rows` splits a block back out.
 
 A tape is used by one thread.  A tape made with a worker (an executor
 with one thread, owned by the caller) hands it the block products of a
@@ -35,6 +36,7 @@ the op waits for it before it returns or raises.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import operator
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -56,7 +58,8 @@ Array = np.ndarray
 # backward(upstream) -> one gradient array per op input, in input order.
 # The arrays are the sweep's to keep and add into: no two share memory,
 # and none shares memory with any node's forward data.  A rule may hand
-# its upstream itself to one input (add does, to its first).
+# its upstream itself to one input (add does, to its first; relu masks it
+# in place first).
 BackwardRule = Callable[[Array], tuple]
 
 
@@ -182,8 +185,9 @@ def scalar_mul(t: Tensor, s: float) -> Tensor:
 def relu(t: Tensor) -> Tensor:
     out = np.maximum(t.data, 0.0)
     # the mask from the output: out > 0 exactly where the input is, so the
-    # subgradient is 0 at 0.0 and -0.0 (and the next affine keeps out alive)
-    return apply_op("relu", (t,), out, lambda g: (g * (out > 0),), check=False)
+    # subgradient is 0 at 0.0 and -0.0 (and the next affine keeps out alive);
+    # the upstream is the sweep's own array, so it is masked in place
+    return apply_op("relu", (t,), out, lambda g: (np.multiply(g, out > 0, out=g),), check=False)
 
 
 def rows(t: Tensor, lo: int, hi: int) -> Tensor:
@@ -228,21 +232,24 @@ def _check_affine(xd: Array, wd: Array, bd: Array) -> None:
 _WORKER_MACS = 4_000_000
 
 
-def _matmuls(products: list) -> None:
+def _matmuls(products: list, bias: Optional[Array] = None) -> None:
+    """Each (a, b, out) product; `bias`, if given, is added to each out."""
     for a, b, out in products:
         np.matmul(a, b, out=out)
+        if bias is not None:
+            out += bias
 
 
 @contextlib.contextmanager
-def _on_worker(worker: Executor, *tasks: list):
-    """Run each task, a list of (a, b, out) products, on `worker` in order
-    while the caller runs the with-block.  The exit waits for every task,
-    also when the block raises, so no product writes after the op is gone;
+def on_worker(worker: Executor, *tasks: Callable[[], None]):
+    """Run each task, a call with no arguments, on `worker` in order while
+    the caller runs the with-block.  The exit waits for every task, also
+    when the block raises, so no task writes after the caller is gone;
     then it raises the first task's error, if any."""
     pending = []
     try:
         for task in tasks:
-            pending.append(worker.submit(_matmuls, task))
+            pending.append(worker.submit(task))
         yield pending
     finally:
         for future in pending:
@@ -289,10 +296,11 @@ def _blockwise_on(worker: Executor, blocks: list, bounds: tuple, wd: Array, g: A
     gs = [g[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     gx = np.empty((g.shape[0], wd.shape[0])) if dx else None
     gw, tmp = np.empty(wd.shape), np.empty(wd.shape)
-    tasks = [[(blocks[-1].T, gs[-1], gw)]]
+    tasks = [functools.partial(_matmuls, [(blocks[-1].T, gs[-1], gw)])]
     if dx:
-        tasks.append([(gs[i], wd.T, gx[bounds[i]:bounds[i + 1]]) for i in range(len(gs) - 1, 0, -1)])
-    with _on_worker(worker, *tasks) as (first, *_):
+        tasks.append(functools.partial(
+            _matmuls, [(gs[i], wd.T, gx[bounds[i]:bounds[i + 1]]) for i in range(len(gs) - 1, 0, -1)]))
+    with on_worker(worker, *tasks) as (first, *_):
         np.matmul(blocks[-2].T, gs[-2], out=tmp)
         first.result()
         gw += tmp
@@ -312,8 +320,9 @@ def affine(x: Tensor, w: Tensor, bias: Tensor, bounds: Optional[Sequence[int]] =
     blocks with row bounds (0, ..., rows), or for one block by default.
 
     If `w` is on a tape with a worker and one block's product has at
-    least `_WORKER_MACS` multiply-adds, the worker computes blocks 1..n-1
-    while the caller computes block 0, and the rule hands it products too."""
+    least `_WORKER_MACS` multiply-adds, the worker computes blocks 1..n-1,
+    each with its bias, while the caller computes block 0 and its bias,
+    and the rule hands it products too."""
     xd, wd, bd = x.data, w.data, bias.data
     _check_affine(xd, wd, bd)
     n = xd.shape[0]
@@ -331,11 +340,13 @@ def affine(x: Tensor, w: Tensor, bias: Tensor, bounds: Optional[Sequence[int]] =
     if worker is None:
         for lo, hi, xb in zip(bounds, bounds[1:], blocks):
             np.matmul(xb, wd, out=out[lo:hi])
+        out += bd
     else:
+        # each block's bias is added right after its product, on its thread
         rest = [(xb, wd, out[lo:hi]) for lo, hi, xb in zip(bounds[1:], bounds[2:], blocks[1:])]
-        with _on_worker(worker, rest):
-            np.matmul(blocks[0], wd, out=out[:bounds[1]])
-    out += bd
+        with on_worker(worker, functools.partial(_matmuls, rest, bd)):
+            first = np.matmul(blocks[0], wd, out=out[:bounds[1]])
+            first += bd
     dx = x.node is not None  # an off-tape input (the image batch) takes no gradient
     return apply_op("affine", (x, w, bias), out, lambda g: _blockwise(blocks, bounds, wd, g, dx, worker))
 

@@ -6,11 +6,15 @@ straight-through run without serializing generator internals.
 """
 from __future__ import annotations
 
+import bisect
 import contextlib
+import functools
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,7 +30,10 @@ from .errors import ArchMismatchError, ContractError, FormatError, NumericError
 from .model import Arch, ModelParams, Tensor, init_params
 from .objective import trimix_step_loss
 from .streams import as_random, raw_words
-from .tensor import Tape, backward
+from .tensor import Tape, backward, on_worker
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 CHECKPOINT_MAGIC = b"TMX1"
 CHECKPOINT_VERSION = 1
@@ -54,8 +61,17 @@ class AdamState:
                    v=[np.zeros_like(t.data) for t in params.flat])
 
 
-# values per block temporary: three 64 KiB temporaries stay in cache
-_ADAM_BLOCK = 8192
+# values per block: three 256 KiB temporaries per thread.  Serial Adam on
+# the `pretrain_wide` arch took the same time at 8,192 and at 32,768 values
+# (6.5 and 6.3 ms, then 7.0 and 7.0 ms, medians of 300 alternated calls).
+_ADAM_BLOCK = 32768
+
+# With a worker, a model of at least this many values (four blocks) splits
+# Adam's update in two halves that run at once; see adam_step.  At 1 BLAS
+# thread on 2 cores the split took 0.88-1.00 of the serial time at 51,552
+# values (the shipped config, which stays serial), 0.89-1.01 at 72,096,
+# 0.80-0.96 at 108,064-176,832 and 0.66-0.67 at 564,480-697,728.
+_ADAM_SPLIT_VALUES = 131_072
 
 
 def _check_adam_inputs(tensors: list, grads: list, state: AdamState) -> None:
@@ -83,40 +99,58 @@ def _check_adam_inputs(tensors: list, grads: list, state: AdamState) -> None:
                 )
 
 
+def _adam_blocks(blocks: list, lr: float, wd: float, bc1: float, bc2: float) -> None:
+    """Adam's update of each (p, g, m, v) block of flat views, in place,
+    with three block temporaries; g is only read."""
+    b1, b2, eps = BETA1, BETA2, EPS
+    g_buf, a_buf, b_buf = (np.empty(_ADAM_BLOCK) for _ in range(3))
+    for pb, gb, mb, vb in blocks:
+        n = pb.size
+        a, b = a_buf[:n], b_buf[:n]
+        if wd:
+            gb = np.add(gb, np.multiply(wd, pb, out=g_buf[:n]), out=g_buf[:n])
+        mb *= b1
+        mb += np.multiply(1.0 - b1, gb, out=a)
+        vb *= b2
+        vb += np.multiply(1.0 - b2, np.multiply(gb, gb, out=a), out=a)
+        np.divide(mb, bc1, out=a)
+        a *= lr
+        np.sqrt(np.divide(vb, bc2, out=b), out=b)
+        b += eps
+        a /= b
+        pb -= a
+
+
 def adam_step(params: ModelParams, grads: list, state: AdamState, lr: float,
-              weight_decay: float) -> tuple[ModelParams, AdamState]:
+              weight_decay: float, worker: Executor | None = None) -> tuple[ModelParams, AdamState]:
     """Classic bias-corrected Adam; weight decay is coupled (g += wd * theta).
 
     Parameters and moments are updated in place, block by block, with the
     per-element operations in the order of the whole-array formula, so the
     results are the same bits.  The caller's gradients are only read.
+
+    With a `worker` (an executor with one thread) and a model of at least
+    `_ADAM_SPLIT_VALUES` values, the blocks are cut at half the values:
+    the worker updates the second half while the caller updates the
+    first, and the call waits for the worker before it returns or raises.
+    Each element sees the same operations, so the bits are the same.
     """
     tensors = params.flat
     _check_adam_inputs(tensors, grads, state)
     state.t += 1
-    b1, b2, wd, eps = BETA1, BETA2, weight_decay, EPS
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    g_buf, a_buf, b_buf = (np.empty(_ADAM_BLOCK) for _ in range(3))
-    for p, g, m, v in zip(tensors, grads, state.m, state.v):
-        p, g, m, v = p.data.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-        for lo in range(0, p.size, _ADAM_BLOCK):
-            hi = lo + _ADAM_BLOCK
-            pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            n = pb.size
-            a, b = a_buf[:n], b_buf[:n]
-            if wd:
-                gb = np.add(gb, np.multiply(wd, pb, out=g_buf[:n]), out=g_buf[:n])
-            mb *= b1
-            mb += np.multiply(1.0 - b1, gb, out=a)
-            vb *= b2
-            vb += np.multiply(1.0 - b2, np.multiply(gb, gb, out=a), out=a)
-            np.divide(mb, bc1, out=a)
-            a *= lr
-            np.sqrt(np.divide(vb, bc2, out=b), out=b)
-            b += eps
-            a /= b
-            pb -= a
+    update = functools.partial(_adam_blocks, lr=lr, wd=weight_decay,
+                               bc1=1.0 - BETA1 ** state.t, bc2=1.0 - BETA2 ** state.t)
+    blocks = []
+    for arrays in zip((t.data for t in tensors), grads, state.m, state.v):
+        flat = [a.reshape(-1) for a in arrays]
+        blocks += [tuple(a[lo:lo + _ADAM_BLOCK] for a in flat) for lo in range(0, flat[0].size, _ADAM_BLOCK)]
+    if worker is None or sum(t.data.size for t in tensors) < _ADAM_SPLIT_VALUES:
+        update(blocks)
+    else:
+        ends = list(itertools.accumulate(b[0].size for b in blocks))
+        cut = bisect.bisect_left(ends, ends[-1] / 2) + 1
+        with on_worker(worker, functools.partial(update, blocks[cut:])):
+            update(blocks[:cut])
     return params, state
 
 
@@ -316,7 +350,8 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
 
     # imported here: concurrent.futures loads logging (about 0.6 MB), which
     # no other command needs.  The worker thread for large stacked products
-    # starts at its first use, and the with-block joins it before returning.
+    # and Adam's second half starts at its first use, and the with-block
+    # joins it before returning.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -334,7 +369,7 @@ def pretrain(cfg, dataset: Dataset, out_dir: str | None = None, resume: Checkpoi
                     grads = backward(bd.loss)
                 except NumericError as exc:
                     raise NumericError(f"step {step} (epoch {epoch}): {exc}") from exc
-                adam_step(params, grads, adam, cfg.lr, cfg.weight_decay)
+                adam_step(params, grads, adam, cfg.lr, cfg.weight_decay, worker=worker)
                 del grads  # not held through the next step's forward and backward
                 rows.append(metrics_row(step, epoch, lam, bd))
             ckpt.epoch = epoch

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -60,3 +63,34 @@ def imported_names(module) -> set[str]:
             imported.add(source)
             imported.update(f"{source}.{alias.name}" for alias in node.names)
     return imported
+
+
+class FailingWorker:
+    """A worker whose tasks run on their own threads: the first `good` run
+    as asked, every later one sleeps, sets `raised` and raises MemoryError."""
+
+    def __init__(self, good: int):
+        self.good = good
+        self.raised = threading.Event()
+        self.futures, self.threads = [], []
+
+    def submit(self, fn, *args):
+        future, fails = Future(), len(self.futures) >= self.good
+
+        def task():
+            if not fails:
+                future.set_result(fn(*args))
+                return
+            time.sleep(0.05)
+            self.raised.set()
+            future.set_exception(MemoryError("worker out of memory"))
+
+        self.futures.append(future)
+        self.threads.append(threading.Thread(target=task))
+        self.threads[-1].start()
+        return future
+
+    def join(self):
+        for t in self.threads:
+            t.join(timeout=10)
+            assert not t.is_alive()

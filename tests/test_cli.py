@@ -184,9 +184,9 @@ class TestPretrainCommand:
         seen = []
         step = trimix.train.adam_step
 
-        def recording(params, grads, state, lr, weight_decay):
+        def recording(params, grads, state, lr, weight_decay, worker=None):
             seen.append((lr, weight_decay))
-            return step(params, grads, state, lr, weight_decay)
+            return step(params, grads, state, lr, weight_decay, worker=worker)
 
         monkeypatch.setattr(trimix.train, "adam_step", recording)
         same, changed = str(tmp_path / "same"), str(tmp_path / "changed")
@@ -600,13 +600,14 @@ def test_pretrain_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 # a pretrain through the CLI whose executor counts its submits; "serial"
-# raises the worker's size threshold above every product
+# raises the worker's size thresholds above every product and every model
 _COUNTED_PRETRAIN = r"""
 import concurrent.futures
 import sys
 
 import trimix.cli
 import trimix.tensor
+import trimix.train
 
 
 class Recording(concurrent.futures.ThreadPoolExecutor):
@@ -620,6 +621,7 @@ class Recording(concurrent.futures.ThreadPoolExecutor):
 concurrent.futures.ThreadPoolExecutor = Recording  # the executor train.pretrain opens
 if sys.argv[1] == "serial":
     trimix.tensor._WORKER_MACS = float("inf")
+    trimix.train._ADAM_SPLIT_VALUES = float("inf")
 code = trimix.cli.run(["pretrain", *sys.argv[2:]])
 print(Recording.submits)
 sys.exit(code)

@@ -6,12 +6,11 @@ import pkgutil
 import subprocess
 import sys
 import threading
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import contract, imported_names, op_gradcheck, rng_for
+from conftest import FailingWorker, contract, imported_names, op_gradcheck, rng_for
 
 import trimix
 from trimix import eval as evaluation
@@ -398,8 +397,8 @@ class TestGradientList:
 class TestRuleAliasing:
     """The rule contract the in-place sum relies on (`BackwardRule`): no
     two arrays one rule returns share memory, none shares memory with any
-    node's forward data, and only `add` hands on its upstream, to one
-    input."""
+    node's forward data, and only `add` and `relu` hand on their upstream,
+    to one input."""
 
     def _check_rules(self, monkeypatch, record) -> set:
         forward = []
@@ -420,7 +419,7 @@ class TestRuleAliasing:
                 continue
             g = rng.normal(size=node.shape)
             out = [a for a in node.rule(g) if a is not None]
-            assert sum(np.shares_memory(a, g) for a in out) <= (node.kind == "add"), node.kind
+            assert sum(np.shares_memory(a, g) for a in out) <= (node.kind in ("add", "relu")), node.kind
             for i, a in enumerate(out):
                 for other in out[i + 1:] + forward:
                     assert not np.shares_memory(a, other), node.kind
@@ -495,43 +494,12 @@ def test_package_imports_only_the_standard_library_numpy_and_itself():
         assert not outside, (module.__name__, sorted(outside))
 
 
-class _FailingWorker:
-    """A worker whose tasks run on their own threads: the first `good` run
-    as asked, every later one sleeps, sets `raised` and raises MemoryError."""
-
-    def __init__(self, good: int):
-        self.good = good
-        self.raised = threading.Event()
-        self.futures, self.threads = [], []
-
-    def submit(self, fn, *args):
-        future, fails = Future(), len(self.futures) >= self.good
-
-        def task():
-            if not fails:
-                future.set_result(fn(*args))
-                return
-            time.sleep(0.05)
-            self.raised.set()
-            future.set_exception(MemoryError("worker out of memory"))
-
-        self.futures.append(future)
-        self.threads.append(threading.Thread(target=task))
-        self.threads[-1].start()
-        return future
-
-    def join(self):
-        for t in self.threads:
-            t.join(timeout=10)
-            assert not t.is_alive()
-
-
 @pytest.mark.parametrize("phase", ["forward", "backward"])
 def test_a_worker_error_reaches_the_caller_after_every_task_ends(monkeypatch, phase):
     monkeypatch.setattr(tensor, "_WORKER_MACS", 0)
     rng = rng_for(31)
     stack, w, b = rng.normal(size=(9, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
-    worker = _FailingWorker(good=0 if phase == "forward" else 1)
+    worker = FailingWorker(good=0 if phase == "forward" else 1)
     tape = Tape(worker)
     try:
         with pytest.raises(MemoryError, match="worker out of memory"):

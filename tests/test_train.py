@@ -2,9 +2,11 @@
 import os
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import FailingWorker
 
 from trimix import train
 from trimix.config import TriMixConfig
@@ -51,6 +53,8 @@ def tiny_cfg(**overrides) -> TriMixConfig:
 # the `pretrain_wide` benchmark arch: 784->512->256, then 256->256->128
 WIDE_ARCH = Arch(input_width=784, encoder=(512, 256), projector=(256, 256, 128))
 SMALL_ARCH = Arch(input_width=12, encoder=(6, 4), projector=(4, 4, 2))
+# its first weight holds more than half of its 204 values
+TALL_ARCH = Arch(input_width=20, encoder=(6, 4), projector=(4, 4, 2))
 
 
 class TestAdam:
@@ -176,6 +180,122 @@ class TestAdam:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, f"adam_step traced peak {peak / 1e6:.2f} MB"
+
+
+class _CountingWorker(ThreadPoolExecutor):
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        return super().submit(*args, **kwargs)
+
+
+def _random_state(arch: Arch, seed: int) -> tuple:
+    params = init_params(arch, seed=seed)
+    state = AdamState.for_params(params)
+    rng = np.random.default_rng(seed)
+    for a in state.m + state.v:
+        a[...] = rng.random(a.shape)
+    return params, state
+
+
+def _arrays(params: ModelParams, state: AdamState) -> list:
+    return [t.data for t in params.flat] + state.m + state.v
+
+
+class TestAdamSplit:
+    """With a worker, a large model's update is cut at half its values
+    and the halves run at once; every byte equals the serial update."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    @pytest.mark.parametrize("arch, block", [
+        # the benchmark arch: the cut falls 360,448 values into its first
+        # weight, which holds 58% of the model
+        (WIDE_ARCH, None),
+        (SMALL_ARCH, 7),  # 156 values: the cut falls at 78, the end of the second tensor
+        (TALL_ARCH, 7),  # 204 values: the cut falls 105 values into the 120-value first weight
+        (TALL_ARCH, 8),  # the cut falls at 104, a block boundary inside the first weight
+        (Arch(input_width=3, encoder=(5, 4), projector=(4, 6)), 5),  # 94 values, none above half
+    ])
+    def test_split_update_equals_the_serial_update(self, monkeypatch, arch, block, weight_decay):
+        monkeypatch.setattr(train, "_ADAM_SPLIT_VALUES", 0)
+        if block is not None:
+            monkeypatch.setattr(train, "_ADAM_BLOCK", block)
+        serial, split = _random_state(arch, 4), _random_state(arch, 4)
+        rng = np.random.default_rng(8)
+        with _CountingWorker() as worker:
+            for _ in range(5):
+                grads = [rng.normal(size=t.data.shape) for t in serial[0].flat]
+                given = [g.copy() for g in grads]
+                adam_step(serial[0], grads, serial[1], 3e-3, weight_decay)
+                adam_step(split[0], grads, split[1], 3e-3, weight_decay, worker=worker)
+                assert all(g.tobytes() == g0.tobytes() for g, g0 in zip(grads, given))
+                for a, b in zip(_arrays(*serial), _arrays(*split)):
+                    assert a.tobytes() == b.tobytes()
+        assert worker.submits == 5
+        assert split[1].t == 5
+
+    def test_the_shipped_config_stays_serial(self):
+        params, state = _random_state(TriMixConfig().validate().arch_for(256), 4)
+        assert params.arch.param_count() == 51_552 < train._ADAM_SPLIT_VALUES
+        with _CountingWorker() as worker:
+            adam_step(params, [np.ones_like(t.data) for t in params.flat], state, 1e-3, 0.0, worker=worker)
+        assert worker.submits == 0
+
+    def test_a_worker_error_is_raised_after_the_callers_half(self, monkeypatch):
+        """The caller updates its half, waits for the failing worker, then
+        raises its error; the worker's half is left as it was."""
+        monkeypatch.setattr(train, "_ADAM_SPLIT_VALUES", 0)
+        monkeypatch.setattr(train, "_ADAM_BLOCK", 7)
+        params, state = _random_state(TALL_ARCH, 4)
+        want, want_state = _random_state(TALL_ARCH, 4)
+        grads = [np.random.default_rng(9).normal(size=t.data.shape) for t in params.flat]
+        before = [a.copy() for a in _arrays(params, state)]
+        adam_step(want, grads, want_state, 3e-3, 1e-3)
+        worker = FailingWorker(good=0)
+        try:
+            with pytest.raises(MemoryError, match="worker out of memory"):
+                adam_step(params, grads, state, 3e-3, 1e-3, worker=worker)
+            assert worker.raised.is_set()
+            assert len(worker.futures) == 1 and worker.futures[0].done()
+        finally:
+            worker.join()
+        # the caller's half is the first 105 values of the 120-value first weight
+        for got, old, new in zip(_arrays(params, state), before, _arrays(want, want_state)):
+            got, old, new = got.reshape(-1), old.reshape(-1), new.reshape(-1)
+            head = 105 if got.size == 120 else 0
+            assert got[:head].tobytes() == new[:head].tobytes()
+            assert got[head:].tobytes() == old[head:].tobytes()
+
+    def test_a_bad_gradient_with_a_worker_writes_nothing(self):
+        params, state = _random_state(WIDE_ARCH, 4)
+        before = [a.copy() for a in _arrays(params, state)]
+        grads = [np.ones_like(t.data) for t in params.flat]
+        grads[3] = np.ones(grads[3].size + 1)
+        with _CountingWorker() as worker:
+            with pytest.raises(ContractError, match="index 3"):
+                adam_step(params, grads, state, 1e-3, 1e-6, worker=worker)
+        assert worker.submits == 0 and state.t == 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(_arrays(params, state), before))
+
+    def test_split_traced_peak_stays_under_two_threads_of_temporaries(self):
+        """Each thread holds three block temporaries (768 KiB); measured
+        peak 1.60 MB on the benchmark arch."""
+        params = init_params(WIDE_ARCH, seed=1)
+        state = AdamState.for_params(params)
+        grads = [np.full_like(t.data, 0.5) for t in params.flat]
+        with _CountingWorker() as worker:
+            worker.submit(int).result()  # the thread starts outside the trace
+            tracemalloc.start()
+            try:
+                adam_step(params, grads, state, 1e-3, 1e-6, worker=worker)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert worker.submits == 2
+        assert peak < 1_700_000, f"split adam_step traced peak {peak / 1e6:.2f} MB"
 
 
 class TestCheckpoint:
