@@ -62,15 +62,18 @@ def resolve_config(args) -> TriMixConfig:
 
 
 def load_split(cfg: TriMixConfig, split: str) -> data.Dataset:
-    """The "train" or "test" split of the configured dataset; a file path
-    the split needs and the config leaves unset is an error naming its key."""
+    """The "train" or "test" split of the configured dataset; an unset file
+    path the split needs, or an IDX split with no image, is an error naming its key."""
     if cfg.dataset == "synthetic":
         return data.synthetic_blobs(cfg.synthetic_spec(split))
     keys = (f"idx_{split}_images", f"idx_{split}_labels")
     for key in keys:
         if not getattr(cfg, key):
             raise ContractError(f"dataset=idx needs {key} for the {split} split, but it is unset")
-    return data.load_idx(*(getattr(cfg, key) for key in keys))
+    ds = data.load_idx(*(getattr(cfg, key) for key in keys))
+    if len(ds) == 0:
+        raise ContractError(f"{keys[0]}={getattr(cfg, keys[0])} holds no image; the {split} split needs one")
+    return ds
 
 
 def write_snapshot(args, cfg: TriMixConfig) -> None:
@@ -198,7 +201,7 @@ def gradcheck(cfg: TriMixConfig, batch: int = 8, side: int = 16) -> float:
     """
     spec = data.SyntheticSpec(n=batch, classes=2, size=side, seed=cfg.seed)
     ds = data.synthetic_blobs(spec)
-    views = data.two_views(ds.images, data.AugmentPolicy(), cfg.seed, labels=ds.labels)
+    views = data.two_views(ds.images, data.AugmentPolicy(), cfg.seed)
     params = init_params(cfg.arch_for(side * side), seed=cfg.seed)
 
     tape = Tape()

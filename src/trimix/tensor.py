@@ -27,15 +27,16 @@ bias gradients add last block first, the order a sweep adds them when
 each batch has its own nodes.  `rows` splits a block back out.
 
 A tape is used by one thread.  A tape made with a worker (an executor
-with one thread, owned by the caller) hands it the block products of a
-stack whose blocks are large: the same BLAS calls, on arrays the calling
-thread allocated, with the adds in the same order, so no bit changes at
-any BLAS thread count.  The worker never sees the tape or a `Tensor`, and
-the op waits for it before it returns or raises.
+with one thread, owned by the caller) hands it a share of the block
+products of a stack whose blocks are large (see `affine`); a bare
+`Tape()`, or a stack of small blocks, runs that share of the backward
+rule on the calling thread.  The same BLAS calls run on arrays the
+calling thread allocated, with the adds in the same order, so no bit
+changes at any BLAS thread count.  The worker never sees the tape or a
+`Tensor`, and the op waits for it before it returns or raises.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import operator
@@ -126,9 +127,6 @@ class Tape:
         self.nodes: list[TapeNode] = []
         self.swept = False
         self.worker = worker
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
     def _append(self, kind: str, parents: tuple, shape: tuple, rule: Optional[BackwardRule]) -> int:
         if self.swept:
@@ -240,22 +238,38 @@ def _matmuls(products: list, bias: Optional[Array] = None) -> None:
             out += bias
 
 
-@contextlib.contextmanager
-def on_worker(worker: Executor, *tasks: Callable[[], None]):
-    """Run each task, a call with no arguments, on `worker` in order while
-    the caller runs the with-block.  The exit waits for every task, also
-    when the block raises, so no task writes after the caller is gone;
-    then it raises the first task's error, if any."""
-    pending = []
-    try:
-        for task in tasks:
-            pending.append(worker.submit(task))
-        yield pending
-    finally:
-        for future in pending:
+class on_worker:
+    """`with on_worker(worker, *tasks):` runs each task, a call with no
+    arguments, on `worker` in order while the caller runs the with-block;
+    with no worker (None) the tasks run on the calling thread before the
+    block.  The exit waits for every task, also when the block raises, so
+    no task writes after the caller is gone; then it raises the first
+    task's error, if any."""
+
+    __slots__ = ("pending",)
+
+    def __init__(self, worker: Optional[Executor], *tasks: Callable[[], object]):
+        self.pending = []
+        if worker is None:
+            for task in tasks:
+                task()
+            return
+        try:
+            for task in tasks:
+                self.pending.append(worker.submit(task))
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, None)
+            raise
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, error, trace) -> None:
+        for future in self.pending:
             future.exception()  # waits; raises nothing
-    for future in pending:
-        future.result()
+        if kind is None:
+            for future in self.pending:
+                future.result()
 
 
 def _blockwise(blocks: list, bounds: tuple, wd: Array, g: Array, dx: bool,
@@ -263,47 +277,24 @@ def _blockwise(blocks: list, bounds: tuple, wd: Array, g: Array, dx: bool,
     """The rule of an affine node: each row block's products on their own,
     so the result is the bytes of one node per block.  Weight and bias
     gradients add last block first, ((G_n + G_n-1) + ...) + G_1, with one
-    weight-shaped temporary."""
-    if worker is not None:
-        return _blockwise_on(worker, blocks, bounds, wd, g, dx)
-    gx = np.empty((g.shape[0], wd.shape[0])) if dx else None
-    gw = gb = tmp = None
-    for i in range(len(blocks) - 1, -1, -1):
-        lo, hi = bounds[i], bounds[i + 1]
-        gi = g[lo:hi]
-        if dx:
-            np.matmul(gi, wd.T, out=gx[lo:hi])
-        if gw is None:
-            gw = blocks[i].T @ gi
-            gb = np.add.reduce(gi, axis=0)
-            continue
-        if tmp is None:
-            tmp = np.empty_like(gw)
-        np.matmul(blocks[i].T, gi, out=tmp)
-        gw += tmp
-        gb += np.add.reduce(gi, axis=0)
-    return gx, gw, gb
-
-
-def _blockwise_on(worker: Executor, blocks: list, bounds: tuple, wd: Array, g: Array,
-                  dx: bool) -> tuple:
-    """`_blockwise` with the worker's help, for two or more blocks: the
-    same products into the same arrays, added in the same order.  The
-    worker computes the last block's weight gradient, then the input
-    gradients of blocks n-1..1.  Meanwhile the caller computes block n-2's,
-    adds the two once the worker's is done, and computes the rest: for
-    three blocks, 3 rounds of products instead of 6."""
+    weight-shaped temporary, in two `on_worker` rounds:
+    1. the worker computes G_n into `gw` while the caller computes G_n-1
+       into `tmp`;
+    2. the worker computes the input gradients of blocks n..2 while the
+       caller adds `tmp` into `gw`, then each remaining G_i in turn, the
+       bias gradient and block 1's input gradient.
+    With no worker each round's task runs on the calling thread first."""
     gs = [g[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     gx = np.empty((g.shape[0], wd.shape[0])) if dx else None
-    gw, tmp = np.empty(wd.shape), np.empty(wd.shape)
-    tasks = [functools.partial(_matmuls, [(blocks[-1].T, gs[-1], gw)])]
-    if dx:
-        tasks.append(functools.partial(
-            _matmuls, [(gs[i], wd.T, gx[bounds[i]:bounds[i + 1]]) for i in range(len(gs) - 1, 0, -1)]))
-    with on_worker(worker, *tasks) as (first, *_):
-        np.matmul(blocks[-2].T, gs[-2], out=tmp)
-        first.result()
-        gw += tmp
+    gw, tmp = np.empty(wd.shape), None
+    with on_worker(worker, functools.partial(np.matmul, blocks[-1].T, gs[-1], out=gw)):
+        if len(gs) > 1:
+            tmp = blocks[-2].T @ gs[-2]
+    tasks = [functools.partial(_matmuls, [(gs[i], wd.T, gx[bounds[i]:bounds[i + 1]])
+                                          for i in range(len(gs) - 1, 0, -1)])] if dx else []
+    with on_worker(worker, *tasks):
+        if tmp is not None:
+            gw += tmp
         for i in range(len(gs) - 3, -1, -1):
             np.matmul(blocks[i].T, gs[i], out=tmp)
             gw += tmp
@@ -320,9 +311,9 @@ def affine(x: Tensor, w: Tensor, bias: Tensor, bounds: Optional[Sequence[int]] =
     blocks with row bounds (0, ..., rows), or for one block by default.
 
     If `w` is on a tape with a worker and one block's product has at
-    least `_WORKER_MACS` multiply-adds, the worker computes blocks 1..n-1,
-    each with its bias, while the caller computes block 0 and its bias,
-    and the rule hands it products too."""
+    least `_WORKER_MACS` multiply-adds, the worker computes blocks 2..n,
+    each with its bias, while the caller computes block 1 and its bias,
+    and the rule (`_blockwise`) hands it its share of each round."""
     xd, wd, bd = x.data, w.data, bias.data
     _check_affine(xd, wd, bd)
     n = xd.shape[0]

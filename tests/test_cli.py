@@ -261,6 +261,27 @@ class TestDatasetSplits:
         assert err.startswith("error: ") and err.count("\n") == 1 and "idx_test_images" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    @pytest.mark.parametrize("command", ["knn", "probe", "finetune"])
+    def test_an_empty_idx_split_names_its_images_key(self, tmp_path, capsys, command, empty):
+        imgs, lbls = write_idx(tmp_path)
+        (tmp_path / "empty").mkdir()
+        splits = {"train": (imgs, lbls), "test": (imgs, lbls)}
+        splits[empty] = write_idx(tmp_path / "empty", n=0)
+        idx = ["--set", "dataset=idx"]
+        for split, (images, labels) in splits.items():
+            idx += ["--set", f"idx_{split}_images={images}", "--set", f"idx_{split}_labels={labels}"]
+        full = ["--set", "dataset=idx", "--set", f"idx_train_images={imgs}", "--set", f"idx_train_labels={lbls}"]
+        assert run(["pretrain", *FAST_OVERRIDES, *full, "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        out = tmp_path / command
+        code = run([command, *FAST_OVERRIDES, *idx, "--checkpoint", str(tmp_path / "run" / "checkpoint.tmx"),
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"idx_{empty}_images" in err, err
+        assert not out.exists()
+
     def test_export_reads_only_its_split(self, tmp_path, capsys):
         imgs, lbls = write_idx(tmp_path)
         idx = ["--set", "dataset=idx", "--set", f"idx_train_images={imgs}", "--set", f"idx_train_labels={lbls}"]

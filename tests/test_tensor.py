@@ -1,11 +1,14 @@
 """Tensor/tape semantics: forward values, backward rules, tape contracts."""
+import functools
 import importlib
+import operator
 import os
 import pathlib
 import pkgutil
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -58,6 +61,17 @@ class TestAffine:
             assert a.tobytes() == b_.tobytes()
 
 
+class _SlowWorker(ThreadPoolExecutor):
+    """Counts its submits and starts each task 10 ms late, so a caller that
+    reads a task's output before joining it reads an unwritten array."""
+
+    submits = 0
+
+    def submit(self, fn):
+        self.submits += 1
+        return super().submit(lambda: (time.sleep(0.01), fn())[1])
+
+
 class TestRowBlocks:
     """Off-tape batches stacked as the row blocks of one tensor, whose row
     bounds `affine` takes, split by `rows`."""
@@ -107,19 +121,37 @@ class TestRowBlocks:
         expected = np.concatenate([g[i:i + 4] @ w2.T for i in (0, 4, 8)])
         assert gx.tobytes() == expected.tobytes()
 
-    def test_the_worker_computes_the_same_bytes(self, monkeypatch):
+    @pytest.mark.parametrize("sizes, on_tape", [
+        ((4, 5), True),  # the caller adds no weight gradient after G_n-1
+        ((4, 3, 5), True),
+        ((4, 3, 5, 2), True),
+        ((4, 3, 5), False),  # the first layer's case: no input gradient
+    ], ids=["2-blocks", "4-3-5", "4-blocks", "off-tape-input"])
+    def test_the_worker_computes_the_same_bytes(self, monkeypatch, sizes, on_tape):
+        """With the worker, slower here than the calling thread, and with
+        none, the node gives the bytes of one node per block: the products
+        block by block, gradients added last block first."""
         monkeypatch.setattr(tensor, "_WORKER_MACS", 0)
-        xs, w, b = self._blocks(29, sizes=(4, 3, 5), din=6, dout=5)
-        g = rng_for(30).normal(size=(12, 5))
+        xs, w, b = self._blocks(29, sizes=sizes, din=6, dout=5)
+        g = rng_for(30).normal(size=(sum(sizes), 5))
         stack, bounds = self._stack(xs)
+        gs = [g[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        expected = [np.concatenate([x.data @ w + b for x in xs]),
+                    np.concatenate([gi @ w.T for gi in gs]) if on_tape else None,
+                    functools.reduce(operator.add, [x.data.T @ gi for x, gi in zip(xs[::-1], gs[::-1])]),
+                    functools.reduce(operator.add, [np.add.reduce(gi, axis=0) for gi in gs[::-1]])]
         results = []
-        with ThreadPoolExecutor(max_workers=1) as worker:
+        with _SlowWorker(max_workers=1) as worker:
             for on in (None, worker):
                 tape = Tape(on)
-                out = affine(tape.leaf(stack), tape.leaf(Tensor(w)), tape.leaf(Tensor(b)), bounds)
+                x = tape.leaf(stack) if on_tape else stack
+                out = affine(x, tape.leaf(Tensor(w)), tape.leaf(Tensor(b)), bounds)
                 results.append([out.data] + list(tape.nodes[out.node].rule(g)))
-        for serial, forked in zip(*results):
-            assert serial.tobytes() == forked.tobytes()
+        # the forward's blocks 2..n, round 1's G_n and, on the tape, round 2's input gradients
+        assert worker.submits == (3 if on_tape else 2)
+        for result in results:
+            for want, got in zip(expected, result):
+                assert want is got is None or want.tobytes() == got.tobytes()
 
     def test_stack_must_fit(self):
         xs, w, b = self._blocks(26, din=5)
@@ -225,7 +257,7 @@ class TestTapeInvariants:
         t1, t2 = Tape(), Tape()
         _, _, l1 = self._build(t1)
         _, _, l2 = self._build(t2)
-        assert len(t1) == len(t2)
+        assert len(t1.nodes) == len(t2.nodes)
         g1, g2 = backward(l1), backward(l2)
         assert len(g1) == len(g2) == 3
         for a, b in zip(g1, g2):
@@ -243,7 +275,7 @@ class TestTapeInvariants:
     def test_parents_precede_children(self):
         tape = Tape()
         _, _, loss = self._build(tape)
-        assert loss.node == len(tape) - 1
+        assert loss.node == len(tape.nodes) - 1
         for nid, node in enumerate(tape.nodes):
             for pid in node.parents:
                 assert pid is None or pid < nid
@@ -494,19 +526,23 @@ def test_package_imports_only_the_standard_library_numpy_and_itself():
         assert not outside, (module.__name__, sorted(outside))
 
 
-@pytest.mark.parametrize("phase", ["forward", "backward"])
-def test_a_worker_error_reaches_the_caller_after_every_task_ends(monkeypatch, phase):
+@pytest.mark.parametrize("good, submits", [(0, 1), (1, 2), (2, 3)],
+                         ids=["forward", "backward", "backward-round-2"])
+def test_a_worker_error_reaches_the_caller_after_every_task_ends(monkeypatch, good, submits):
+    """The worker fails in the forward, in the rule's first round or in its
+    second; the round that failed waits for it and raises its error, and no
+    later round starts."""
     monkeypatch.setattr(tensor, "_WORKER_MACS", 0)
     rng = rng_for(31)
     stack, w, b = rng.normal(size=(9, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
-    worker = FailingWorker(good=0 if phase == "forward" else 1)
+    worker = FailingWorker(good=good)
     tape = Tape(worker)
     try:
         with pytest.raises(MemoryError, match="worker out of memory"):
             h = affine(tape.leaf(Tensor(stack)), tape.leaf(Tensor(w)), tape.leaf(Tensor(b)), (0, 3, 6, 9))
             backward(contract(h))
         assert worker.raised.is_set()
-        assert len(worker.futures) == (1 if phase == "forward" else 3)
+        assert len(worker.futures) == submits
         assert all(f.done() for f in worker.futures)
     finally:
         worker.join()
