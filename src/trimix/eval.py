@@ -2,6 +2,10 @@
 
 All protocols read the encoder output Y; the projector exists to serve
 the pretraining loss and is discarded here.
+
+Each protocol holds one copy of its data: KNN ranks its one whole
+similarity matrix in row chunks, and fine-tuning gathers each SGD batch
+from the training set.
 """
 from __future__ import annotations
 
@@ -17,6 +21,9 @@ from .tensor import Tape, Tensor, affine, apply_op, backward
 from .train import Checkpoint
 
 FEATURE_CHUNK = 256  # rows per encoder pass when extracting features
+# similarities knn_predict ranks at once: its rank temporaries stay near
+# 256 KiB each, whatever the size of the test bank
+_KNN_CHUNK = 32768
 
 
 @dataclass
@@ -112,11 +119,31 @@ def extract_features(checkpoint: Checkpoint, dataset: Dataset, l2_normalize: boo
     return FeatureBank(features=feats, labels=dataset.labels.copy())
 
 
+def _knn_vote(sims: np.ndarray, labels: np.ndarray, k: int, n_classes: int) -> np.ndarray:
+    """knn_predict's vote for each row of `sims`; each class's weight is
+    summed in rank order."""
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    at = (np.arange(len(sims))[:, None], labels[order])
+    votes = np.zeros((len(sims), n_classes))
+    weight = np.zeros((len(sims), n_classes))
+    np.add.at(votes, at, 1.0)
+    np.add.at(weight, at, np.take_along_axis(sims, order, axis=1))
+    tied = votes == votes.max(axis=1, keepdims=True)
+    # the largest weight among the most-voted classes; argmax keeps the
+    # smallest class id among equal weights
+    return np.where(tied, weight, -np.inf).argmax(axis=1)
+
+
 def knn_predict(train_bank: FeatureBank, test_bank: FeatureBank, k: int) -> np.ndarray:
     """Cosine-similarity majority vote among the top-k training neighbors.
 
     Vote ties break by summed similarity, then by smaller class id;
     equal-similarity neighbors rank by training index (stable sort).
+
+    The similarity matrix is one `test @ train.T` product, kept whole: a
+    product split by rows may round differently.  Its rows are ranked and
+    voted on in chunks of about `_KNN_CHUNK` similarities, so the call
+    holds that one matrix and one chunk's temporaries.
     """
     if len(train_bank) == 0 or len(test_bank) == 0:
         raise ContractError("knn: empty feature bank")
@@ -125,19 +152,11 @@ def knn_predict(train_bank: FeatureBank, test_bank: FeatureBank, k: int) -> np.n
     train = l2_normalize_rows(train_bank.features)
     test = l2_normalize_rows(test_bank.features)
     sims = test @ train.T
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     n_classes = int(train_bank.labels.max()) + 1
     preds = np.empty(len(test_bank), dtype=np.int64)
-    for i in range(len(test_bank)):
-        votes = np.zeros(n_classes)
-        weight = np.zeros(n_classes)
-        for j in order[i]:
-            votes[train_bank.labels[j]] += 1
-            weight[train_bank.labels[j]] += sims[i, j]
-        best = np.flatnonzero(votes == votes.max())
-        if len(best) > 1:
-            best = best[weight[best] == weight[best].max()]
-        preds[i] = int(best[0])  # remaining ties: smallest class id
+    rows = max(1, _KNN_CHUNK // len(train_bank))
+    for lo in range(0, len(test_bank), rows):
+        preds[lo:lo + rows] = _knn_vote(sims[lo:lo + rows], train_bank.labels, k, n_classes)
     return preds
 
 
@@ -212,14 +231,15 @@ def finetune_semi(
     digest: str = "",
 ) -> EvalReport:
     """Unfreeze the encoder, attach a classifier head to Y, fine-tune on a
-    class-stratified label fraction, and report test top-1."""
+    class-stratified label fraction, and report test top-1.
+
+    Each SGD batch is gathered from `train_ds` through the subset's
+    indices, so no copy of the labelled images is held."""
     _check_input_width(checkpoint, train_ds)
     subset = stratified_subset(train_ds.labels, fraction, probe_cfg.seed)
     n = len(subset)
     if n < 2:
         raise ContractError(f"fraction {fraction} keeps {n} samples, fewer than one batch of 2")
-    images = train_ds.images[subset]
-    labels = train_ds.labels[subset]
     params = checkpoint.params.copy()
     k = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
     head_w = np.zeros((params.arch.representation_width, k))
@@ -229,8 +249,9 @@ def finetune_semi(
 
     def loss_of(idx, leaves):
         *enc, w, b = leaves
-        y = encode(Tensor(images[idx].reshape(len(idx), -1)), ModelParams(params.arch, enc + projector))
-        return softmax_cross_entropy(affine(y, w, b), labels[idx])
+        rows = subset[idx]
+        y = encode(Tensor(train_ds.images[rows].reshape(len(idx), -1)), ModelParams(params.arch, enc + projector))
+        return softmax_cross_entropy(affine(y, w, b), train_ds.labels[rows])
 
     _sgd_fit(encoder + [head_w, head_b], n, min(probe_cfg.batch_size, n - n % 2), (0xFE,), loss_of, probe_cfg)
     x = Tensor(test_ds.images.reshape(len(test_ds), -1))

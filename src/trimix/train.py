@@ -218,41 +218,51 @@ def _check_meta(path: str, meta) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint written by save_checkpoint.
+
+    The header and metadata are read first; then each array is read
+    straight into its own float64 buffer, so the loader holds one copy of
+    the arrays and never the whole file.  Each array's size is checked
+    against the file's before its buffer is allocated.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 12:
-        raise FormatError(f"{path}: truncated checkpoint header at byte offset {len(raw)}")
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(
-            f"{path}: bad magic {raw[:4]!r} at byte offset 0 (expected {CHECKPOINT_MAGIC!r})"
-        )
-    version = int.from_bytes(raw[4:8], "little")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} (expected {CHECKPOINT_VERSION})")
-    meta_len = int.from_bytes(raw[8:12], "little")
-    if len(raw) < 12 + meta_len:
-        raise FormatError(f"{path}: truncated metadata at byte offset {len(raw)}")
-    try:
-        meta = json.loads(raw[12:12 + meta_len].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long ints, deep nesting
-        raise FormatError(f"{path}: unreadable metadata block ({exc})") from exc
-    _check_meta(path, meta)
-    offset = 12 + meta_len
-    values = {}
-    for entry in meta["arrays"]:
-        shape = tuple(entry["shape"])
-        count = math.prod(shape)
-        nbytes = count * _ARRAY_DTYPE.itemsize
-        if len(raw) - offset < nbytes:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if len(head) < 12:
+            raise FormatError(f"{path}: truncated checkpoint header at byte offset {len(head)}")
+        if head[:4] != CHECKPOINT_MAGIC:
             raise FormatError(
-                f"{path}: truncated array {entry['name']!r} at byte offset {offset} "
-                f"(need {nbytes} bytes)"
+                f"{path}: bad magic {head[:4]!r} at byte offset 0 (expected {CHECKPOINT_MAGIC!r})"
             )
-        arr = np.frombuffer(raw, dtype=_ARRAY_DTYPE, count=count, offset=offset).reshape(shape)
-        values[entry["name"]] = arr.astype(np.float64)
-        offset += nbytes
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes after arrays")
+        version = int.from_bytes(head[4:8], "little")
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version} (expected {CHECKPOINT_VERSION})")
+        meta_len = int.from_bytes(head[8:12], "little")
+        if size < 12 + meta_len:
+            raise FormatError(f"{path}: truncated metadata at byte offset {size}")
+        try:
+            meta = json.loads(f.read(meta_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long ints, deep nesting
+            raise FormatError(f"{path}: unreadable metadata block ({exc})") from exc
+        _check_meta(path, meta)
+        offset = 12 + meta_len
+        values = {}
+        for entry in meta["arrays"]:
+            shape = tuple(entry["shape"])
+            nbytes = math.prod(shape) * _ARRAY_DTYPE.itemsize
+            try:
+                arr = np.empty(shape, dtype=_ARRAY_DTYPE) if size - offset >= nbytes else None
+            except ValueError as exc:  # a zero-size shape with a dimension numpy cannot hold
+                raise FormatError(f"{path}: array {entry['name']!r} has shape {list(shape)} ({exc})") from exc
+            if arr is None or f.readinto(arr.reshape(-1)) != nbytes:  # short file or short read
+                raise FormatError(
+                    f"{path}: truncated array {entry['name']!r} at byte offset {offset} "
+                    f"(need {nbytes} bytes)"
+                )
+            values[entry["name"]] = arr.astype(np.float64, copy=False)
+            offset += nbytes
+    if offset != size:
+        raise FormatError(f"{path}: {size - offset} trailing bytes after arrays")
 
     try:
         arch = Arch.from_dict(meta["arch"])

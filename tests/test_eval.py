@@ -1,5 +1,6 @@
 """Feature extraction, KNN, linear probe, and semi-supervised fine-tuning."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,30 @@ class TestExtractFeatures:
             extract_features(ckpt, ds)
 
 
+# training rows for the chunked KNN tests: 64 test rows per rank chunk
+KNN_TRAIN = 512
+
+
+def tie_heavy_rows(rng, n: int, width: int = 8) -> np.ndarray:
+    """Rows of four entries of +-1/2, the rest zero: unit norm, so every
+    cosine similarity is a multiple of 1/4 that any summation order computes
+    exactly, and equal similarities tie exactly in both KNN implementations."""
+    feats = np.zeros((n, width))
+    cols = np.argsort(rng.random((n, width)), axis=1)[:, :4]
+    np.put_along_axis(feats, cols, rng.choice([-0.5, 0.5], size=(n, 4)), axis=1)
+    return feats
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes at the traced peak of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestKnn:
     def test_exact_duplicate_wins_at_k1(self):
         rng = rng_for(50)
@@ -116,6 +141,43 @@ class TestKnn:
         slow = oracle.naive_knn_predict(train_feats, train_labels, test_feats, k=5)
         np.testing.assert_array_equal(fast, slow)
 
+    @pytest.mark.parametrize("bank, n_test, k", [
+        ("gaussian", "chunk", 5),
+        ("gaussian", "chunk+1", 5),
+        ("gaussian", "2chunks+3", 5),
+        ("duplicated", "chunk", 7),
+        ("duplicated", "chunk+1", 7),
+        ("duplicated", "2chunks+3", 7),
+        ("duplicated", "2chunks+3", 1),
+        ("duplicated", "2chunks+3", "all"),
+        ("vote_tie", "chunk+1", "all"),
+    ])
+    def test_matches_full_sort_oracle_across_rank_chunks(self, bank, n_test, k):
+        n_train = KNN_TRAIN
+        rows = evaluation._KNN_CHUNK // n_train  # test rows ranked per chunk
+        n_test = {"chunk": rows, "chunk+1": rows + 1, "2chunks+3": 2 * rows + 3}[n_test]
+        k = n_train if k == "all" else k
+        rng = rng_for(51)
+        if bank == "gaussian":
+            train_feats = rng.normal(size=(n_train, 9))
+            test_feats = rng.normal(size=(n_test, 9))
+        else:
+            # 24 distinct training rows, each repeated about 21 times: equal
+            # similarities that only the stable rank orders
+            train_feats = tie_heavy_rows(rng, 24)[rng.integers(0, 24, size=n_train)]
+            test_feats = tie_heavy_rows(rng, n_test)
+        if bank == "vote_tie":
+            # two balanced classes at k = N_train: every vote ties, so the
+            # summed similarity decides, then the smaller class id
+            train_labels = np.arange(n_train) % 2
+        else:
+            train_labels = rng.integers(0, 4, size=n_train)
+        train = FeatureBank(train_feats, train_labels)
+        test = FeatureBank(test_feats, np.zeros(n_test, dtype=int))
+        fast = knn_predict(train, test, k=k)
+        slow = oracle.naive_knn_predict(train_feats, train_labels, test_feats, k=k)
+        np.testing.assert_array_equal(fast, slow)
+
     def test_invariant_to_positive_rescaling(self):
         rng = rng_for(52)
         train_feats = rng.normal(size=(30, 7))
@@ -127,6 +189,18 @@ class TestKnn:
         scaled = knn_eval(FeatureBank(train_feats * 41.7, labels),
                           FeatureBank(test_feats * 41.7, test_labels), k=7)
         assert base == scaled
+
+    def test_traced_peak_stays_under_one_similarity_matrix(self):
+        # 2,000 x 1,500 banks: the one similarity matrix is 24 MB.  The rank
+        # and vote temporaries of one chunk (about 0.5 MB) and the normalized
+        # 8-wide banks (0.22 MB) fit in the 1 MB margin; ranking the whole
+        # matrix at once held three matrices.
+        rng = rng_for(53)
+        train = FeatureBank(rng.normal(size=(1500, 8)), rng.integers(0, 10, size=1500))
+        test = FeatureBank(rng.normal(size=(2000, 8)), np.zeros(2000, dtype=int))
+        matrix = 2000 * 1500 * 8
+        peak = traced_peak(knn_predict, train, test, 20)
+        assert peak < matrix + (1 << 20), f"knn_predict traced peak {peak / 1e6:.2f} MB"
 
     def test_contract_errors(self):
         bank = FeatureBank(np.ones((3, 2)), np.zeros(3, dtype=int))
@@ -258,6 +332,16 @@ class TestFinetune:
         for w in poisoned.params.flat[poisoned.params.encoder_end::2]:
             w.data[...] = np.nan
         assert finetune_semi(poisoned, train, test, 1.0, cfg) == clean
+
+    def test_full_fraction_traced_peak_stays_under_the_training_images(self):
+        # 3,000 16x16 images are 6.1 MB.  One epoch's batches, the encoder
+        # and head, and the small test pass stay well under that; copying
+        # the labelled images up front held all of them.
+        train = synthetic_blobs(SyntheticSpec(n=3000, seed=13))
+        test = synthetic_blobs(SyntheticSpec(n=30, seed=14))
+        cfg = ProbeConfig(epochs=1, batch_size=64, seed=5)
+        peak = traced_peak(finetune_semi, make_checkpoint(input_width=256), train, test, 1.0, cfg)
+        assert peak < train.images.nbytes, f"finetune_semi traced peak {peak / 1e6:.2f} MB"
 
     def test_larger_fraction_no_worse_in_reference_setup(self):
         spec = dict(classes=4, size=8, noise=0.05, center_jitter=0.4, background=0.0)

@@ -1,4 +1,6 @@
 """Optimizer, training loop determinism, and checkpoint persistence."""
+import json
+import math
 import os
 import tracemalloc
 import weakref
@@ -345,6 +347,67 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < largest, f"save_checkpoint traced peak {peak / 1e6:.2f} MB"
+
+    def test_load_traced_peak_stays_under_the_file_and_one_array(self, tmp_path):
+        # the loaded arrays are the file less its header and metadata: a
+        # 16.7 MB file loads at a 16.8 MB peak, well inside the margin of
+        # its largest array (3.2 MB).  Reading the whole file, then copying
+        # each array out of it, held about twice the file.
+        path = str(tmp_path / "c.tmx")
+        ckpt = self._checkpoint(arch=WIDE_ARCH)
+        save_checkpoint(path, ckpt)
+        bound = os.path.getsize(path) + max(t.data.nbytes for t in ckpt.params.flat)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"load_checkpoint traced peak {peak / 1e6:.2f} MB"
+
+    @staticmethod
+    def _with_first_shape(path: str, shape: list, keep_data: bool = True) -> None:
+        """Rewrite the first array's shape in the metadata; without
+        `keep_data` its bytes are dropped from the file too."""
+        raw = open(path, "rb").read()
+        end = 12 + int.from_bytes(raw[8:12], "little")
+        meta = json.loads(raw[12:end])
+        first = math.prod(meta["arrays"][0]["shape"]) * 8
+        meta["arrays"][0]["shape"] = shape
+        blob = json.dumps(meta).encode("utf-8")
+        data = raw[end:] if keep_data else raw[end + first:]
+        open(path, "wb").write(raw[:8] + len(blob).to_bytes(4, "little") + blob + data)
+
+    def test_huge_array_in_metadata_is_truncated_not_allocated(self, tmp_path):
+        path = str(tmp_path / "c.tmx")
+        save_checkpoint(path, self._checkpoint())
+        self._with_first_shape(path, [2**40])  # 8 TiB of values
+        with pytest.raises(FormatError, match="truncated array 'param:encoder.0.weight'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape, keep_data", [
+        ([0], True),  # the first array's bytes are left over at the end
+        ([0, 5], False),  # every array is read; the arch expects another shape
+        ([0, 2**62], False),  # zero values, but more bytes than numpy can address
+    ])
+    def test_zero_size_shape_in_metadata_rejected(self, tmp_path, shape, keep_data):
+        path = str(tmp_path / "c.tmx")
+        save_checkpoint(path, self._checkpoint())
+        self._with_first_shape(path, shape, keep_data)
+        with pytest.raises((FormatError, ArchMismatchError)):
+            load_checkpoint(path)
+
+    def test_loaded_arrays_are_owned_writeable_float64(self, tmp_path):
+        path = str(tmp_path / "c.tmx")
+        save_checkpoint(path, self._checkpoint())
+        loaded = load_checkpoint(path)
+        params = [t.data for t in loaded.params.flat]
+        for a in params + loaded.adam.m + loaded.adam.v:
+            assert a.dtype == np.float64
+            assert a.flags.owndata and a.flags.writeable and a.flags.c_contiguous
+        # a resumed run's first Adam step accepts them
+        adam_step(loaded.params, [np.ones_like(p) for p in params], loaded.adam, 1e-3, 0.0)
+        assert loaded.adam.t == 18
 
     def test_failed_save_leaves_no_temp_and_the_old_file(self, tmp_path, monkeypatch):
         path = str(tmp_path / "c.tmx")
